@@ -30,6 +30,7 @@ from .sampler import (
     FrequencyTable,
     RandomStream,
     TrialRecord,
+    TrialRecords,
     hidden_outcome,
     measure,
     run_recorded,

@@ -33,9 +33,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordinate
-from .sampler import RandomStream, measure, outcome_at_axis, sample_break_point
-
-BLOCK_SIZE = 1 << 16
+from .sampler import (
+    BLOCK_SIZE,
+    RandomStream,
+    _block_lengths,
+    _resolve,
+    measure,
+    outcome_at_axis,
+    sample_break_point,
+)
 
 # Coplanar settings (degrees in the x-z plane) where the eps = 1 optimum
 # 2*sqrt(2) is attained; also a maximizer of |S| for every eps < 1.
@@ -142,21 +148,6 @@ def measure_pair(
     else:
         raise ValueError(f"order must be 'left' or 'right', got {order!r}")
     return a_out, b_out
-
-
-def _block_lengths(n: int, block_size: int) -> list[int]:
-    full, rem = divmod(n, block_size)
-    return [block_size] * full + ([rem] if rem else [])
-
-
-def _resolve(lam: np.ndarray, t, rs: RandomStream) -> np.ndarray:
-    """Vectorized outcome rule with fair-coin ties; True means O1."""
-    up = lam < t
-    ties = np.flatnonzero(lam == t)
-    if ties.size:
-        up = up.copy()
-        up[ties] = rs.random(ties.size) < 0.5
-    return up
 
 
 def joint_counts(

@@ -51,6 +51,10 @@ CHSH_COLUMNS = (
     "S_analytic", "S_mc", "stderr",
 )
 
+# Numeric config fields that must be finite: scalars, then sequences.
+_SCALAR_FIELDS = ("theta_deg", "epsilon", "d", "peak_ratio")
+_GRID_FIELDS = ("angles_deg", "theta_grid", "epsilon_grid", "d_grid")
+
 
 class ValidationError(ValueError):
     """Configuration rejected before any work started."""
@@ -61,7 +65,8 @@ class ExperimentConfig:
     """Declarative description of one experiment run.
 
     Only the fields relevant to ``kind`` are consulted; ``validate`` checks
-    them against the owning module's preconditions before any work starts.
+    them against the owning module's preconditions before any work starts,
+    and rejects a non-finite angle, band parameter or peak ratio in any field.
     """
 
     kind: str
@@ -115,6 +120,7 @@ class ExperimentConfig:
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
         if self.kind == "selftest":
             return
+        self._finite()
         if self.trials < 1:
             raise ValidationError(f"trials must be positive, got {self.trials}")
         if self.seed < 0:
@@ -138,7 +144,7 @@ class ExperimentConfig:
                 raise ValidationError(f"chsh mode must be analytic, mc or both")
             if len(self.angles_deg) != 4:
                 raise ValidationError("chsh needs exactly four setting angles")
-            if self.resolution_deg <= 0:
+            if not self.resolution_deg > 0:
                 raise ValidationError("resolution must be positive")
             for eps in self.epsilon_grid or (self.epsilon,):
                 self._elastic(eps, 0.0)
@@ -152,6 +158,19 @@ class ExperimentConfig:
             if self.peak_ratio < 1.0:
                 raise ValidationError(f"peak ratio must be >= 1, got {self.peak_ratio}")
             self._eps_values()
+
+    def _finite(self) -> None:
+        """Reject NaN, infinite and non-numeric angles, band parameters and ratio."""
+        values = [(name, getattr(self, name)) for name in _SCALAR_FIELDS]
+        for name in _GRID_FIELDS:
+            values += [(name, x) for x in getattr(self, name) or ()]
+        for name, value in values:
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
     def _eps_values(self) -> None:
         if not self.eps_values:

@@ -16,6 +16,8 @@ which commutes.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -70,6 +72,75 @@ class TrialRecord:
     break_point: float
     outcome: Outcome
     post_state: SphereState
+
+
+class TrialRecords(Sequence[TrialRecord]):
+    """Read-only sequence of the :class:`TrialRecord` of every trial in a run.
+
+    The run is held as two read-only arrays copied from the constructor's
+    inputs, ``break_points`` (float64) and ``o1`` (bool, True for O1); a
+    record's index is its position.  Records are built on access (by index,
+    by slice as a list, or by iteration) and share the post states
+    ``SphereState(axis)`` and ``SphereState(-axis)``.  Vectorized consumers
+    should read the arrays.
+    """
+
+    __slots__ = ("break_points", "o1", "axis", "_up", "_down")
+    __hash__ = None
+
+    def __init__(self, break_points, o1, axis: Direction):
+        break_points = np.array(break_points, dtype=np.float64)
+        o1 = np.array(o1, dtype=bool)
+        if break_points.ndim != 1 or break_points.shape != o1.shape:
+            raise ValueError("break_points and o1 must be 1-D arrays of equal length")
+        break_points.flags.writeable = False
+        o1.flags.writeable = False
+        self.break_points = break_points
+        self.o1 = o1
+        self.axis = axis
+        self._up = SphereState(axis)
+        self._down = SphereState(-axis)
+
+    def _record(self, index: int, break_point: float, up: bool) -> TrialRecord:
+        if up:
+            return TrialRecord(index, break_point, Outcome.O1, self._up)
+        return TrialRecord(index, break_point, Outcome.O2, self._down)
+
+    def __len__(self) -> int:
+        return len(self.o1)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(
+                self._record,
+                range(len(self))[index],
+                self.break_points[index].tolist(),
+                self.o1[index].tolist(),
+            ))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"trial index {index} out of range for {len(self)} trials")
+        return self._record(i, float(self.break_points[i]), bool(self.o1[i]))
+
+    def __iter__(self):
+        return map(
+            self._record, range(len(self)), self.break_points.tolist(), self.o1.tolist()
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, TrialRecords):
+            return NotImplemented
+        return (
+            self.axis == other.axis
+            and np.array_equal(self.break_points, other.break_points)
+            and np.array_equal(self.o1, other.o1)
+        )
+
+    def __repr__(self) -> str:
+        n_o1 = int(np.count_nonzero(self.o1))
+        return f"TrialRecords(n={len(self)}, n_o1={n_o1}, axis={self.axis})"
 
 
 @dataclass(frozen=True)
@@ -160,6 +231,19 @@ def _block_lengths(n: int, block_size: int) -> list[int]:
     return [block_size] * full + ([rem] if rem else [])
 
 
+def _resolve(lam: np.ndarray, t, rs: RandomStream) -> np.ndarray:
+    """Vectorized outcome rule with fair-coin ties; True means O1.
+
+    ``t`` is a scalar or an array of axis coordinates.  One coin is drawn
+    from ``rs`` per exact tie, in index order, and only when ties occur.
+    """
+    up = lam < t
+    ties = np.flatnonzero(lam == t)
+    if ties.size:
+        up[ties] = rs.random(ties.size) < 0.5
+    return up
+
+
 def _sample_block(
     root: RandomStream, block_index: int, m: int, t: float, elastic: ElasticSpec
 ):
@@ -174,12 +258,7 @@ def _sample_block(
         lam = np.full(m, elastic.d)
     else:
         lam = rs.uniform(elastic.break_lower, elastic.break_upper, m)
-    is_o1 = lam < t
-    ties = np.flatnonzero(lam == t)
-    if ties.size:
-        is_o1 = is_o1.copy()
-        is_o1[ties] = rs.random(ties.size) < 0.5
-    return lam, is_o1
+    return lam, _resolve(lam, t, rs)
 
 
 def run_trials(
@@ -224,25 +303,21 @@ def run_recorded(
     n: int,
     seed,
     block_size: int = BLOCK_SIZE,
-) -> list[TrialRecord]:
+) -> TrialRecords:
     """Like :func:`run_trials` but keeping every trial.
 
     Uses the same block/substream scheme, so counts agree with
-    :func:`run_trials` for the same seed.  Memory grows with ``n``; prefer
-    :func:`run_trials` for large batches.
+    :func:`run_trials` for the same seed.  The trials are kept as arrays in
+    a :class:`TrialRecords`, 9 bytes per trial; prefer :func:`run_trials`
+    when only the counts are needed.
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
     root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     t = axis_coordinate(v, u)
-    post_up, post_down = SphereState(u), SphereState(-u)
-    records: list[TrialRecord] = []
-    for j, m in enumerate(_block_lengths(n, block_size)):
-        lam, is_o1 = _sample_block(root, j, m, t, elastic)
-        base = j * block_size
-        for k in range(m):
-            if is_o1[k]:
-                records.append(TrialRecord(base + k, float(lam[k]), Outcome.O1, post_up))
-            else:
-                records.append(TrialRecord(base + k, float(lam[k]), Outcome.O2, post_down))
-    return records
+    blocks = [
+        _sample_block(root, j, m, t, elastic)
+        for j, m in enumerate(_block_lengths(n, block_size))
+    ]
+    lam, is_o1 = (np.concatenate(arrays) for arrays in zip(*blocks))
+    return TrialRecords(lam, is_o1, u)

@@ -141,3 +141,20 @@ class TestValidationFailures:
         rc = run_cli("spin", "--epsilon", "0.5", "--d", "0.9")
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spin", "--theta-deg", "nan"),
+            ("spin", "--theta-deg", "inf"),
+            ("chsh", "--angles", "0,nan,45,90"),
+            ("doubleslit", "--ratio", "nan"),
+        ],
+        ids=["spin-theta-nan", "spin-theta-inf", "chsh-angle-nan", "doubleslit-ratio-nan"],
+    )
+    def test_non_finite_value_exits_2_with_json_error(self, argv, capsys):
+        rc = run_cli(*argv)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert "finite" in err["message"]

@@ -91,6 +91,16 @@ class TestExperimentConfig:
             ExperimentConfig(kind="climit", fixture="lorentz"),
             ExperimentConfig(kind="climit", fixture="gaussian", eps_values=(0.0,)),
             ExperimentConfig(kind="doubleslit", peak_ratio=0.5),
+            ExperimentConfig(kind="spin", theta_deg=float("nan")),
+            ExperimentConfig(kind="spin", theta_deg=float("-inf")),
+            ExperimentConfig(kind="spin", theta_deg="60"),
+            ExperimentConfig(kind="spin", d=float("nan")),
+            ExperimentConfig(kind="sweep", theta_grid=(0.0, float("inf"))),
+            ExperimentConfig(kind="sweep", d_grid=(0.0, float("nan"))),
+            ExperimentConfig(kind="chsh", epsilon_grid=(1.0, float("nan"))),
+            ExperimentConfig(kind="chsh", angles_deg=(0.0, 90.0, float("inf"), 135.0)),
+            ExperimentConfig(kind="chsh", resolution_deg=float("nan")),
+            ExperimentConfig(kind="doubleslit", peak_ratio=float("inf")),
         ],
     )
     def test_validation_rejects(self, config):

@@ -6,8 +6,13 @@ import pytest
 from qmachine.analytic import epsilon_probabilities
 from qmachine.geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordinate
 from qmachine.sampler import (
+    BLOCK_SIZE,
     FrequencyTable,
     RandomStream,
+    TrialRecord,
+    TrialRecords,
+    _block_lengths,
+    _sample_block,
     hidden_outcome,
     measure,
     run_recorded,
@@ -186,6 +191,110 @@ class TestRunTrials:
                 index += 1
                 bound = 4.0 * math.sqrt(p1 * (1.0 - p1) / n)
                 assert abs(freq - p1) <= bound, (t, band)
+
+
+def reference_records(v, u, elastic, n, seed):
+    """One TrialRecord per trial, built in a loop over each block's draws."""
+    root = RandomStream(seed)
+    t = axis_coordinate(v, u)
+    post_up, post_down = SphereState(u), SphereState(-u)
+    records = []
+    for j, m in enumerate(_block_lengths(n, BLOCK_SIZE)):
+        lam, is_o1 = _sample_block(root, j, m, t, elastic)
+        for k in range(m):
+            index = j * BLOCK_SIZE + k
+            if is_o1[k]:
+                records.append(TrialRecord(index, float(lam[k]), Outcome.O1, post_up))
+            else:
+                records.append(TrialRecord(index, float(lam[k]), Outcome.O2, post_down))
+    return records
+
+
+# (v, band, n, seed) and, from the per-trial implementation, the O1 count,
+# the sum of the O1 indices and the exact sum of the break points
+RECORDED_CASES = {
+    "eps1": (
+        direction_at(0.5), ElasticSpec(1.0, 0.0), 200_000, 41,
+        150200, 15009013726, 127.22830180852876,
+    ),
+    "band-two-blocks": (
+        direction_at(0.2), ElasticSpec(0.8, 0.1), 70_000, 32,
+        39153, 1373682691, 7178.924629392554,
+    ),
+    "rigid-tie-coins": (
+        direction_at(0.0), ElasticSpec(0.0, 0.0), 5_000, 42, 2530, 6314883, 0.0,
+    ),
+    "rigid-biased": (
+        direction_at(0.5), ElasticSpec(0.0, 0.5), 1_000, 43, 1000, 499500, 500.0,
+    ),
+}
+
+
+class TestTrialRecords:
+    @pytest.mark.parametrize("case", RECORDED_CASES)
+    def test_matches_per_trial_reference(self, case):
+        v, band, n, seed, n1, index_sum, lam_sum = RECORDED_CASES[case]
+        records = run_recorded(v, Z, band, n, seed)
+        assert isinstance(records, TrialRecords)
+        assert list(records) == reference_records(v, Z, band, n, seed)
+        o1_indices = np.flatnonzero(records.o1)
+        assert len(o1_indices) == n1
+        assert int(o1_indices.sum()) == index_sum
+        assert math.fsum(records.break_points.tolist()) == lam_sum
+
+    def test_sequence_access(self):
+        v, band = direction_at(0.2), ElasticSpec(0.8, 0.1)
+        records = run_recorded(v, Z, band, 70_000, 32)
+        reference = reference_records(v, Z, band, 70_000, 32)
+        assert len(records) == 70_000
+        for i in (0, 1, BLOCK_SIZE - 1, BLOCK_SIZE, 69_999, -1, -70_000):
+            assert records[i] == reference[i]
+        assert records[-1].index == 69_999
+        assert records[np.int64(5)] == reference[5]
+        for sl in (slice(65_530, 65_540), slice(None, 10, 3), slice(-5, None), slice(9, 0, -4)):
+            assert records[sl] == reference[sl]
+        with pytest.raises(IndexError):
+            records[70_000]
+        with pytest.raises(IndexError):
+            records[-70_001]
+        with pytest.raises(TypeError):
+            records[1.0]
+
+    def test_arrays_are_read_only(self):
+        records = run_recorded(direction_at(0.2), Z, ElasticSpec(1.0, 0.0), 1_000, 38)
+        assert records.break_points.dtype == np.float64
+        assert records.o1.dtype == np.bool_
+        with pytest.raises(ValueError):
+            records.break_points[0] = 0.0
+        with pytest.raises(ValueError):
+            records.o1[0] = True
+
+    def test_constructor_copies_its_input(self):
+        lam = np.array([-0.5, 0.25])
+        records = TrialRecords(lam, lam < 0.0, Z)
+        lam[0] = 0.9
+        assert records[0].break_point == -0.5
+        with pytest.raises(ValueError):
+            TrialRecords(lam, [True], Z)
+
+    def test_equality(self):
+        v, band = direction_at(0.2), ElasticSpec(0.8, 0.1)
+        a = run_recorded(v, Z, band, 2_000, 39)
+        assert a == run_recorded(v, Z, band, 2_000, 39)
+        assert a != run_recorded(v, Z, band, 2_000, 40)
+        assert a != run_recorded(v, -Z, band, 2_000, 39)
+        assert a != list(a)
+        base = TrialRecords([-0.1, 0.2], [True, False], Z)
+        assert base == TrialRecords([-0.1, 0.2], [True, False], Z)
+        assert base != TrialRecords([-0.1, 0.3], [True, False], Z)
+        assert base != TrialRecords([-0.1, 0.2], [True, True], Z)
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_o1_count_matches_run_trials(self):
+        v, band = direction_at(-0.4), ElasticSpec(0.6, -0.2)
+        records = run_recorded(v, Z, band, 150_000, 44)
+        assert int(records.o1.sum()) == run_trials(v, Z, band, 150_000, 44).n_o1
 
 
 class TestRunRecorded:
