@@ -30,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import minimize
 
 from .geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordinate
@@ -333,6 +334,11 @@ _PLACEMENTS = (
 )
 
 
+# Cells (a' rows x grid angles) per array chunk of the max_chsh grid scan:
+# memory stays O(m * rows) instead of O(m^2) at fine resolutions.
+_CHUNK_CELLS = 2**15
+
+
 def _canonical_setting(placement: int, alpha: float, beta: float, gamma: float) -> ChshSetting:
     """Angles (a=0, a'=alpha, b=beta, b'=gamma) relabeled so the canonical
     sign pattern reproduces the placement's value."""
@@ -355,6 +361,11 @@ def max_chsh(
     at 0 by rotational symmetry), exploiting that for a fixed a' the b and b'
     angles maximize independently; optionally polished by a Nelder-Mead local
     search.  All four sign placements are scanned.
+
+    The grid is scored as arrays, one chunk of a' rows (about
+    ``_CHUNK_CELLS`` cells) at a time, so memory grows as O(m * rows), not
+    O(m^2).  Ties break as in a sequential scan over placement, then a', then
+    +S before -S: the first maximum wins.
     """
     if elastic.d != 0.0:
         raise ValueError("pair correlations require an unbiased band (d = 0)")
@@ -366,23 +377,32 @@ def max_chsh(
     grid = np.arange(m) * step
     curve = _corr_curve(grid, eps)
 
+    # shifted[k, i] = E(angle_i - angle_k), a strided view of the doubled curve
+    shifted = sliding_window_view(np.concatenate((curve[1:], curve)), m)[::-1]
+    rows = max(1, _CHUNK_CELLS // m)
     best = None  # (value, sign, placement, alpha, beta, gamma)
     for placement, (s1, s2, s3, s4) in enumerate(_PLACEMENTS):
-        for k in range(m):
-            rolled = np.roll(curve, k)  # rolled[i] = E(angle_i - angle_k)
-            beta_group = s1 * curve + s3 * rolled
-            gamma_group = s2 * curve + s4 * rolled
-            hi = beta_group.max() + gamma_group.max()
-            lo = beta_group.min() + gamma_group.min()
-            if best is None or hi > best[0]:
+        # the signs are +-1, so x + s * y is exactly x + y or x - y
+        beta_curve, beta_op = s1 * curve, np.add if s3 > 0 else np.subtract
+        gamma_curve, gamma_op = s2 * curve, np.add if s4 > 0 else np.subtract
+        for start in range(0, m, rows):
+            rolled = shifted[start:start + rows]
+            beta_group = beta_op(beta_curve, rolled)
+            gamma_group = gamma_op(gamma_curve, rolled)
+            hi = beta_group.max(axis=1) + gamma_group.max(axis=1)
+            lo = beta_group.min(axis=1) + gamma_group.min(axis=1)
+            # (hi, -lo) per row in scan order; argmax returns the first maximum
+            scores = np.column_stack((hi, -lo)).ravel()
+            j = int(scores.argmax())
+            if best is None or scores[j] > best[0]:
+                r, flip = divmod(j, 2)
+                if flip:
+                    b_at, g_at = beta_group[r].argmin(), gamma_group[r].argmin()
+                else:
+                    b_at, g_at = beta_group[r].argmax(), gamma_group[r].argmax()
                 best = (
-                    hi, 1.0, placement,
-                    grid[k], grid[int(beta_group.argmax())], grid[int(gamma_group.argmax())],
-                )
-            if -lo > best[0]:
-                best = (
-                    -lo, -1.0, placement,
-                    grid[k], grid[int(beta_group.argmin())], grid[int(gamma_group.argmin())],
+                    scores[j], -1.0 if flip else 1.0, placement,
+                    grid[start + r], grid[int(b_at)], grid[int(g_at)],
                 )
 
     value, sign, placement, alpha, beta, gamma = best

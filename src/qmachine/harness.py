@@ -54,6 +54,8 @@ CHSH_COLUMNS = (
 # Numeric config fields that must be finite: scalars, then sequences.
 _SCALAR_FIELDS = ("theta_deg", "epsilon", "d", "peak_ratio")
 _GRID_FIELDS = ("angles_deg", "theta_grid", "epsilon_grid", "d_grid")
+# Integer config fields; a bool is rejected, not taken as 0 or 1.
+_INT_FIELDS = ("trials", "seed", "workers")
 
 
 class ValidationError(ValueError):
@@ -66,7 +68,8 @@ class ExperimentConfig:
 
     Only the fields relevant to ``kind`` are consulted; ``validate`` checks
     them against the owning module's preconditions before any work starts,
-    and rejects a non-finite angle, band parameter or peak ratio in any field.
+    and rejects a non-finite angle, band parameter or peak ratio in any field,
+    and a ``trials``, ``seed`` or ``workers`` that is not an int (or is a bool).
     """
 
     kind: str
@@ -121,6 +124,10 @@ class ExperimentConfig:
         if self.kind == "selftest":
             return
         self._finite()
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValidationError(f"trials must be positive, got {self.trials}")
         if self.seed < 0:

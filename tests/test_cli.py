@@ -158,3 +158,23 @@ class TestValidationFailures:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert "finite" in err["message"]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"trials": "100"},
+            {"seed": "5"},
+            {"trials": 100.5},
+            {"trials": True},
+            {"workers": True},
+        ],
+        ids=["trials-str", "seed-str", "trials-float", "trials-bool", "workers-bool"],
+    )
+    def test_mistyped_config_integer_exits_2_with_json_error(self, fields, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        rc = run_cli("spin", "--config", str(cfg))
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert next(iter(fields)) in err["message"]

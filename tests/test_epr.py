@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from qmachine.analytic import epsilon_probabilities
@@ -21,6 +24,7 @@ from qmachine.epr import (
     severed_chsh_scan,
     severed_correlation_mc,
 )
+from qmachine.epr import _PLACEMENTS, _canonical_setting, _corr_curve
 from qmachine.geometry import Direction, ElasticSpec, Outcome
 from qmachine.sampler import RandomStream
 
@@ -48,6 +52,34 @@ def brute_force_max_abs_s(eps, step_deg=3.0):
         )
         best = max(best, float(np.abs(s).max()))
     return best
+
+
+def reference_grid_scan(eps, resolution_deg):
+    """The sequential max_chsh grid scan, one np.roll per (placement, a')
+    pair, with no polish: returns (max |S|, signed S, setting)."""
+    m = max(8, int(round(360.0 / resolution_deg)))
+    grid = np.arange(m) * (2.0 * math.pi / m)
+    curve = _corr_curve(grid, eps)
+    best = None
+    for placement, (s1, s2, s3, s4) in enumerate(_PLACEMENTS):
+        for k in range(m):
+            rolled = np.roll(curve, k)
+            beta_group = s1 * curve + s3 * rolled
+            gamma_group = s2 * curve + s4 * rolled
+            hi = beta_group.max() + gamma_group.max()
+            lo = beta_group.min() + gamma_group.min()
+            if best is None or hi > best[0]:
+                best = (
+                    hi, 1.0, placement,
+                    grid[k], grid[int(beta_group.argmax())], grid[int(gamma_group.argmax())],
+                )
+            if -lo > best[0]:
+                best = (
+                    -lo, -1.0, placement,
+                    grid[k], grid[int(beta_group.argmin())], grid[int(gamma_group.argmin())],
+                )
+    value, sign, placement, alpha, beta, gamma = best
+    return value, sign * value, _canonical_setting(placement, alpha, beta, gamma)
 
 
 class TestEntangledPair:
@@ -333,6 +365,37 @@ class TestMaxChsh:
         coplanar = max_chsh(ElasticSpec(1.0, 0.0)).max_abs_s
         assert best <= coplanar + 1e-6
         assert best >= coplanar - 1e-3  # the search does find the optimum
+
+
+class TestMaxChshGridScan:
+    # 0.25 deg gives m = 1440, which leaves a partial last chunk
+    CASES = [(i / 20, 1.0) for i in range(21)] + [
+        (eps, res) for res in (7.0, 50.0, 0.25) for eps in (0.0, 0.5, 1 / ROOT2, 0.9, 1.0)
+    ]
+
+    @pytest.mark.parametrize("eps,resolution_deg", CASES)
+    def test_matches_sequential_reference_exactly(self, eps, resolution_deg):
+        opt = max_chsh(ElasticSpec(eps, 0.0), resolution_deg, refine=False)
+        value, signed, setting = reference_grid_scan(eps, resolution_deg)
+        assert opt.max_abs_s == value
+        assert opt.signed_s == signed
+        assert opt.setting == setting
+
+    def test_peak_memory_is_bounded_at_fine_resolution(self):
+        # unchunked, each (4, m, m) float64 array at m = 1440 would take 66 MB
+        tracemalloc.start()
+        try:
+            max_chsh(ElasticSpec(0.9, 0.0), 0.25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    def test_optimum_is_closed_form(self, eps):
+        expected = 4.0 if eps == 0.0 else min(4.0, 2.0 * ROOT2 / eps)
+        assert abs(max_chsh(ElasticSpec(eps, 0.0)).max_abs_s - expected) <= 1e-9
 
 
 class TestChshSweep:

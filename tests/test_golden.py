@@ -1,0 +1,72 @@
+"""Byte-pinned CLI outputs.
+
+Each case runs one ``qmachine`` command line in process and compares its
+stdout bytes and exit code with ``tests/data/golden/<name>``.  The files are
+written only by an explicit regeneration, from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+
+Regenerate only for an intended output change, and list every changed row.
+"""
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+from qmachine.cli import main
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+EPS_GRID = ",".join(
+    ["0", "0.05", "0.1", "0.15", "0.2", "0.25", "0.3", "0.35", "0.4", "0.45", "0.5",
+     "0.55", "0.6", "0.65", "0.7", "0.75", "0.8", "0.85", "0.9", "0.95", "1"]
+)
+OPTIMAL = ("chsh", "--mode", "analytic", "--optimal", "--epsilon-grid", EPS_GRID)
+
+# (file name, argv, exit code)
+CASES = [
+    ("chsh_optimal_1deg.csv", OPTIMAL, 0),
+    ("chsh_optimal_1deg.json", OPTIMAL + ("--format", "json"), 0),
+    ("chsh_optimal_7deg.csv", OPTIMAL + ("--resolution-deg", "7"), 0),
+    ("chsh_optimal_7deg.json", OPTIMAL + ("--resolution-deg", "7", "--format", "json"), 0),
+    # exit 3: battery line 5b reports FAIL by design
+    ("selftest.txt", ("selftest",), 3),
+]
+
+
+def run_case(argv) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(list(argv))
+    return rc, out.getvalue().encode()
+
+
+@pytest.mark.parametrize("name,argv,exit_code", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(name, argv, exit_code):
+    rc, stdout = run_case(argv)
+    assert rc == exit_code
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+        assert stdout == fh.read()
+
+
+def regenerate() -> None:
+    outputs = []
+    for name, argv, exit_code in CASES:
+        rc, stdout = run_case(argv)
+        if rc != exit_code:
+            raise SystemExit(f"{name}: exit {rc}, expected {exit_code}; nothing written")
+        outputs.append((name, stdout))
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for name, stdout in outputs:
+        with open(os.path.join(GOLDEN_DIR, name), "wb") as fh:
+            fh.write(stdout)
+        print(f"wrote {name} ({len(stdout)} bytes)", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        raise SystemExit(f"usage: {sys.argv[0]} --regenerate  (overwrites {GOLDEN_DIR})")
+    regenerate()

@@ -101,6 +101,11 @@ class TestExperimentConfig:
             ExperimentConfig(kind="chsh", angles_deg=(0.0, 90.0, float("inf"), 135.0)),
             ExperimentConfig(kind="chsh", resolution_deg=float("nan")),
             ExperimentConfig(kind="doubleslit", peak_ratio=float("inf")),
+            ExperimentConfig(kind="spin", trials="100"),
+            ExperimentConfig(kind="spin", seed="5"),
+            ExperimentConfig(kind="spin", trials=100.5),
+            ExperimentConfig(kind="spin", trials=True),
+            ExperimentConfig(kind="spin", workers=True),
         ],
     )
     def test_validation_rejects(self, config):
