@@ -135,6 +135,18 @@ def epsilon_probabilities(v: Direction, u: Direction, elastic: ElasticSpec) -> P
     return probabilities_from_axis(axis_coordinate(v, u), elastic)
 
 
+def _clamp_law(x, eps: float):
+    """clamp(x / eps, -1, +1) for eps > 0 and sign(x) for eps = 0, for a
+    scalar or an array ``x``: the mean +/-1 outcome at offset ``x = t - d``.
+
+    Clipping x to [-eps, eps] before the division gives the same bits as
+    clipping x / eps to [-1, 1], and cannot overflow for a subnormal eps.
+    """
+    if eps == 0.0:
+        return np.sign(x)
+    return np.clip(x, -eps, eps) / eps
+
+
 def expectation_from_axis(t: float, elastic: ElasticSpec) -> float:
     """Mean +/-1 outcome value at axis coordinate ``t``.
 
@@ -144,10 +156,7 @@ def expectation_from_axis(t: float, elastic: ElasticSpec) -> float:
     """
     if not -1.0 <= t <= 1.0:
         raise ValueError(f"axis coordinate must be in [-1, 1], got {t!r}")
-    eps, d = elastic.epsilon, elastic.d
-    if eps == 0.0:
-        return float((t > d) - (t < d))
-    return min(1.0, max(-1.0, (t - d) / eps))
+    return float(_clamp_law(t - elastic.d, elastic.epsilon))
 
 
 def expectation(v: Direction, u: Direction, elastic: ElasticSpec) -> float:

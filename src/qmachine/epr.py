@@ -26,19 +26,19 @@ attained for every eps <= 1/sqrt(2).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import minimize
 
+from .analytic import _clamp_law
 from .geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordinate
 from .sampler import (
-    BLOCK_SIZE,
     RandomStream,
-    _block_lengths,
+    _map_blocks,
     _resolve,
+    _snap_points,
     measure,
     outcome_at_axis,
     sample_break_point,
@@ -104,12 +104,23 @@ class ChshSetting:
         )
 
 
-def _default_source_elastic(elastic: ElasticSpec, left_elastic) -> ElasticSpec:
+def _wing_bands(elastic: ElasticSpec, left_elastic, order: str):
+    """The bands of the wing measured first and of its partner.
+
+    The left band defaults to the right one's epsilon with d = 0; the band
+    measuring the still-central pair must be unbiased.
+    """
+    if order not in ("left", "right"):
+        raise ValueError(f"order must be 'left' or 'right', got {order!r}")
     if left_elastic is None:
         left_elastic = ElasticSpec(elastic.epsilon, 0.0)
     if left_elastic.d != 0.0:
         raise ValueError("the source-side elastic must be unbiased (d = 0)")
-    return left_elastic
+    if order == "left":
+        return left_elastic, elastic
+    if elastic.d != 0.0:
+        raise ValueError("right-first order requires an unbiased right band")
+    return elastic, left_elastic
 
 
 def measure_pair(
@@ -131,23 +142,18 @@ def measure_pair(
     """
     if pair.collapsed:
         raise ValueError("pair has already been measured")
-    left_elastic = _default_source_elastic(elastic, left_elastic)
+    first_el, second_el = _wing_bands(elastic, left_elastic, order)
+    snap = sample_break_point(first_el, rng)
     if order == "left":
-        snap = sample_break_point(left_elastic, rng)
         a_out = outcome_at_axis(0.0, snap, rng)
         pair.localize_left(a if a_out is Outcome.O1 else -a)
-        b_out, post, _ = measure(pair.right.position, b, elastic, rng)
+        b_out, post, _ = measure(pair.right.position, b, second_el, rng)
         pair.right = post
-    elif order == "right":
-        if elastic.d != 0.0:
-            raise ValueError("right-first order requires an unbiased right band")
-        snap = sample_break_point(elastic, rng)
+    else:
         b_out = outcome_at_axis(0.0, snap, rng)
         pair.localize_right(b if b_out is Outcome.O1 else -b)
-        a_out, post, _ = measure(pair.left.position, a, left_elastic, rng)
+        a_out, post, _ = measure(pair.left.position, a, second_el, rng)
         pair.left = post
-    else:
-        raise ValueError(f"order must be 'left' or 'right', got {order!r}")
     return a_out, b_out
 
 
@@ -166,49 +172,21 @@ def joint_counts(
     Block-substream scheme as in :mod:`qmachine.sampler`: results are
     bit-identical for any worker count.
     """
-    if n < 1:
-        raise ValueError(f"need at least one trial, got {n}")
-    if order not in ("left", "right"):
-        raise ValueError(f"order must be 'left' or 'right', got {order!r}")
-    left_elastic = _default_source_elastic(elastic, left_elastic)
-    if order == "right" and elastic.d != 0.0:
-        raise ValueError("right-first order requires an unbiased right band")
-    first_el, second_el = (
-        (left_elastic, elastic) if order == "left" else (elastic, left_elastic)
-    )
+    first_el, second_el = _wing_bands(elastic, left_elastic, order)
     t_ab = axis_coordinate(a, b)
-    root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
 
-    def run_block(args):
-        j, m = args
-        rs = root.substream(j)
-        if first_el.epsilon == 0.0:
-            lam1 = np.zeros(m)
-        else:
-            lam1 = rs.uniform(first_el.break_lower, first_el.break_upper, m)
-        first_up = _resolve(lam1, 0.0, rs)
+    def run_block(rs: RandomStream, m: int):
+        first_up = _resolve(_snap_points(rs, first_el, m), 0.0, rs)
         # the partner sits at the antipode of the first wing's landing point
         t2 = np.where(first_up, -t_ab, t_ab)
-        if second_el.epsilon == 0.0:
-            lam2 = np.full(m, second_el.d)
-        else:
-            lam2 = rs.uniform(second_el.break_lower, second_el.break_upper, m)
-        second_up = _resolve(lam2, t2, rs)
+        second_up = _resolve(_snap_points(rs, second_el, m), t2, rs)
         a_up, b_up = (first_up, second_up) if order == "left" else (second_up, first_up)
         pp = int(np.count_nonzero(a_up & b_up))
         pm = int(np.count_nonzero(a_up & ~b_up))
         mp = int(np.count_nonzero(~a_up & b_up))
-        return pp, pm, mp, m
+        return pp, pm, mp
 
-    blocks = list(enumerate(_block_lengths(n, BLOCK_SIZE)))
-    if workers == 1:
-        parts = list(map(run_block, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_block, blocks))
-    pp = sum(p[0] for p in parts)
-    pm = sum(p[1] for p in parts)
-    mp = sum(p[2] for p in parts)
+    pp, pm, mp = map(sum, zip(*_map_blocks(run_block, n, seed, workers)))
     return {
         (Outcome.O1, Outcome.O1): pp,
         (Outcome.O1, Outcome.O2): pm,
@@ -240,19 +218,12 @@ def correlation_analytic(a: Direction, b: Direction, elastic: ElasticSpec) -> fl
     """
     if elastic.d != 0.0:
         raise ValueError("pair correlations require an unbiased band (d = 0)")
-    t = axis_coordinate(a, b)
-    eps = elastic.epsilon
-    if eps == 0.0:
-        return -float((t > 0.0) - (t < 0.0))
-    return -min(1.0, max(-1.0, t / eps))
+    return -float(_clamp_law(axis_coordinate(a, b), elastic.epsilon))
 
 
 def _corr_curve(angles: np.ndarray, eps: float) -> np.ndarray:
     """Pair correlation as a function of the angle between the two axes."""
-    c = np.cos(angles)
-    if eps == 0.0:
-        return -np.sign(c)
-    return -np.clip(c / eps, -1.0, 1.0)
+    return -_clamp_law(np.cos(angles), eps)
 
 
 @dataclass(frozen=True)
@@ -461,32 +432,17 @@ def severed_correlation_mc(
     state is uniform on [-1, 1]), so no axes are taken; the correlation is
     the product of the single-wing biases, 0 for an unbiased band.
     """
-    if n < 1:
-        raise ValueError(f"need at least one trial, got {n}")
-    root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
 
-    def run_block(args):
-        j, m = args
-        rs = root.substream(j)
+    def run_block(rs: RandomStream, m: int) -> int:
         t_left = rs.uniform(-1.0, 1.0, m)
         t_right = rs.uniform(-1.0, 1.0, m)
-        if elastic.epsilon == 0.0:
-            lam_l = np.full(m, elastic.d)
-            lam_r = np.full(m, elastic.d)
-        else:
-            lam_l = rs.uniform(elastic.break_lower, elastic.break_upper, m)
-            lam_r = rs.uniform(elastic.break_lower, elastic.break_upper, m)
+        lam_l = _snap_points(rs, elastic, m)
+        lam_r = _snap_points(rs, elastic, m)
         a_up = _resolve(lam_l, t_left, rs)
         b_up = _resolve(lam_r, t_right, rs)
-        return int(np.count_nonzero(a_up == b_up)), m
+        return int(np.count_nonzero(a_up == b_up))
 
-    blocks = list(enumerate(_block_lengths(n, BLOCK_SIZE)))
-    if workers == 1:
-        parts = list(map(run_block, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_block, blocks))
-    same = sum(p[0] for p in parts)
+    same = sum(_map_blocks(run_block, n, seed, workers))
     return (2 * same - n) / n
 
 

@@ -52,7 +52,7 @@ CHSH_COLUMNS = (
 )
 
 # Numeric config fields that must be finite: scalars, then sequences.
-_SCALAR_FIELDS = ("theta_deg", "epsilon", "d", "peak_ratio")
+_SCALAR_FIELDS = ("theta_deg", "epsilon", "d", "peak_ratio", "resolution_deg")
 _GRID_FIELDS = ("angles_deg", "theta_grid", "epsilon_grid", "d_grid")
 # Integer config fields; a bool is rejected, not taken as 0 or 1.
 _INT_FIELDS = ("trials", "seed", "workers")
@@ -68,8 +68,9 @@ class ExperimentConfig:
 
     Only the fields relevant to ``kind`` are consulted; ``validate`` checks
     them against the owning module's preconditions before any work starts,
-    and rejects a non-finite angle, band parameter or peak ratio in any field,
-    and a ``trials``, ``seed`` or ``workers`` that is not an int (or is a bool).
+    and rejects a non-finite angle, search resolution, band parameter or peak
+    ratio in any field, and a ``trials``, ``seed`` or ``workers`` that is not
+    an int (or is a bool).
     """
 
     kind: str
@@ -108,7 +109,10 @@ class ExperimentConfig:
         coerced = dict(data)
         for key in ("theta_grid", "epsilon_grid", "d_grid", "angles_deg", "eps_values"):
             if coerced.get(key) is not None:
-                coerced[key] = tuple(float(x) for x in coerced[key])
+                try:
+                    coerced[key] = tuple(float(x) for x in coerced[key])
+                except (TypeError, ValueError):
+                    raise ValidationError(f"{key} must be a list of numbers") from None
         return cls(**coerced)
 
     def to_dict(self) -> dict:
@@ -387,7 +391,10 @@ def _run_chsh(config: ExperimentConfig) -> int:
 
 def _run_climit(config: ExperimentConfig) -> int:
     if config.density_path is not None:
-        grid = load_density_csv(config.density_path)
+        try:
+            grid = load_density_csv(config.density_path)
+        except ValueError as exc:
+            raise ValidationError(f"density file {config.density_path}: {exc}") from None
         source = config.density_path
     else:
         grid = gaussian_grid()
@@ -439,8 +446,8 @@ _RUNNERS = {
 def run(config: ExperimentConfig) -> int:
     """Validate and execute an experiment; returns the exit status.
 
-    Raises :class:`ValidationError` for bad configs and lets I/O errors
-    propagate; the CLI maps both onto their exit codes.
+    Raises :class:`ValidationError` for bad configs and density files, and
+    lets I/O errors propagate; the CLI maps both onto their exit codes.
     """
     config.validate()
     return _RUNNERS[config.kind](config)

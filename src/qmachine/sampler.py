@@ -9,9 +9,10 @@ yields statistically independent child streams that are reproducible across
 platforms, numpy releases with the same bit generator, and worker counts.
 
 Bulk runs partition trials into fixed-size blocks; block ``j`` draws from
-``substream(j)`` only.  Results are therefore bit-identical no matter how
-many workers execute the blocks, and aggregation is a plain sum of counts,
-which commutes.
+``substream(j)`` only.  One dispatcher, :func:`_map_blocks`, runs the blocks
+of every Monte Carlo kernel here and in :mod:`qmachine.epr`.  Results are
+therefore bit-identical no matter how many workers execute the blocks, and
+aggregation is a plain sum of counts, which commutes.
 """
 
 from __future__ import annotations
@@ -231,6 +232,38 @@ def _block_lengths(n: int, block_size: int) -> list[int]:
     return [block_size] * full + ([rem] if rem else [])
 
 
+def _map_blocks(block_fn, n: int, seed, workers: int = 1) -> list:
+    """``block_fn(root.substream(j), m)`` for each block ``j`` of ``m``
+    trials, in block order, run on ``workers`` threads.
+
+    The ``n`` trials fill blocks of ``BLOCK_SIZE``, the last one takes the
+    rest; ``seed`` is an int or the root :class:`RandomStream`.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one trial, got {n}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
+
+    def run_block(block):
+        j, m = block
+        return block_fn(root.substream(j), m)
+
+    blocks = list(enumerate(_block_lengths(n, BLOCK_SIZE)))
+    if workers == 1:
+        return list(map(run_block, blocks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_block, blocks))
+
+
+def _snap_points(rs: RandomStream, elastic: ElasticSpec, m: int) -> np.ndarray:
+    """``m`` snap points, uniform on [d - eps, d + eps]; at eps = 0 the
+    point d itself, and nothing is drawn."""
+    if elastic.epsilon == 0.0:
+        return np.full(m, elastic.d)
+    return rs.uniform(elastic.break_lower, elastic.break_upper, m)
+
+
 def _resolve(lam: np.ndarray, t, rs: RandomStream) -> np.ndarray:
     """Vectorized outcome rule with fair-coin ties; True means O1.
 
@@ -244,20 +277,14 @@ def _resolve(lam: np.ndarray, t, rs: RandomStream) -> np.ndarray:
     return up
 
 
-def _sample_block(
-    root: RandomStream, block_index: int, m: int, t: float, elastic: ElasticSpec
-):
+def _sample_block(rs: RandomStream, m: int, t: float, elastic: ElasticSpec):
     """Vectorized draws for one block: snap points, outcome flags, tie coins.
 
     Draw order within the block stream is fixed (snap points, then coins for
-    however many exact ties occurred), so the result depends only on
-    (seed, spawn_key, block_index, m).
+    however many exact ties occurred), so the result depends only on the
+    block stream and ``m``.
     """
-    rs = root.substream(block_index)
-    if elastic.epsilon == 0.0:
-        lam = np.full(m, elastic.d)
-    else:
-        lam = rs.uniform(elastic.break_lower, elastic.break_upper, m)
+    lam = _snap_points(rs, elastic, m)
     return lam, _resolve(lam, t, rs)
 
 
@@ -268,31 +295,18 @@ def run_trials(
     n: int,
     seed,
     workers: int = 1,
-    block_size: int = BLOCK_SIZE,
 ) -> FrequencyTable:
     """Aggregate ``n`` measurements of state v along axis u.
 
     ``seed`` may be an integer or a :class:`RandomStream`.  The outcome
     counts are identical for any ``workers`` value.
     """
-    if n < 1:
-        raise ValueError(f"need at least one trial, got {n}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     t = axis_coordinate(v, u)
 
-    def count_block(args) -> int:
-        j, m = args
-        _, is_o1 = _sample_block(root, j, m, t, elastic)
-        return int(np.count_nonzero(is_o1))
+    def count_block(rs: RandomStream, m: int) -> int:
+        return int(np.count_nonzero(_sample_block(rs, m, t, elastic)[1]))
 
-    blocks = list(enumerate(_block_lengths(n, block_size)))
-    if workers == 1:
-        n1 = sum(map(count_block, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            n1 = sum(pool.map(count_block, blocks))
+    n1 = sum(_map_blocks(count_block, n, seed, workers))
     return FrequencyTable(n1, n - n1)
 
 
@@ -302,7 +316,6 @@ def run_recorded(
     elastic: ElasticSpec,
     n: int,
     seed,
-    block_size: int = BLOCK_SIZE,
 ) -> TrialRecords:
     """Like :func:`run_trials` but keeping every trial.
 
@@ -311,13 +324,7 @@ def run_recorded(
     a :class:`TrialRecords`, 9 bytes per trial; prefer :func:`run_trials`
     when only the counts are needed.
     """
-    if n < 1:
-        raise ValueError(f"need at least one trial, got {n}")
-    root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     t = axis_coordinate(v, u)
-    blocks = [
-        _sample_block(root, j, m, t, elastic)
-        for j, m in enumerate(_block_lengths(n, block_size))
-    ]
+    blocks = _map_blocks(lambda rs, m: _sample_block(rs, m, t, elastic), n, seed)
     lam, is_o1 = (np.concatenate(arrays) for arrays in zip(*blocks))
     return TrialRecords(lam, is_o1, u)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmachine.analytic import (
     ProbabilityPair,
@@ -18,6 +20,7 @@ from qmachine.analytic import (
     spin_operator,
     spinor_from_direction,
 )
+from qmachine.analytic import _clamp_law
 from qmachine.geometry import Direction, ElasticSpec, axis_coordinate
 
 Z = Direction(0.0, 0.0, 1.0)
@@ -256,3 +259,38 @@ class TestLinearityDeviation:
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError):
             linearity_deviation(Z, ElasticSpec(1.0, 0.0), 2)
+
+
+def clip_of_quotient(x, eps):
+    """The clamp law written as clip(x / eps, -1, 1); x / eps may overflow to
+    +-inf for a tiny eps, which the clip maps to +-1."""
+    with np.errstate(over="ignore"):
+        return np.clip(np.asarray(x, dtype=float) / eps, -1.0, 1.0)
+
+
+class TestClampLaw:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eps=st.one_of(
+            st.sampled_from((5e-324, 1e-300, 1.0 / math.sqrt(2.0), 1.0)),
+            st.floats(min_value=5e-324, max_value=1.0),
+        ),
+        xs=st.lists(st.floats(min_value=-2.0, max_value=2.0), max_size=16),
+        ratios=st.lists(st.floats(min_value=-3.0, max_value=3.0), max_size=16),
+    )
+    def test_bits_match_clip_of_quotient_for_scalar_and_array(self, eps, xs, ratios):
+        edges = [0.0, -0.0, eps, -eps, np.nextafter(eps, 0.0), np.nextafter(eps, 2.0)]
+        x = np.array(edges + [-e for e in edges[4:]] + xs + [r * eps for r in ratios])
+        law = _clamp_law(x, eps)
+        assert law.tobytes() == clip_of_quotient(x, eps).tobytes()
+        scalars = np.array([_clamp_law(float(xi), eps) for xi in x])
+        assert scalars.tobytes() == law.tobytes()
+
+    def test_rigid_band_is_the_sign(self):
+        x = np.array([-1.0, -1e-300, -0.0, 0.0, 5e-324, 0.5])
+        assert _clamp_law(x, 0.0).tobytes() == np.sign(x).tobytes()
+        assert [float(_clamp_law(float(xi), 0.0)) for xi in x] == list(np.sign(x))
+
+    def test_subnormal_epsilon_does_not_overflow(self):
+        with np.errstate(all="raise"):
+            assert _clamp_law(np.array([-1.0, 0.0, 1.0]), 5e-324).tolist() == [-1.0, 0.0, 1.0]

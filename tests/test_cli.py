@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
 from qmachine.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_spin.csv")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*args):
@@ -99,6 +102,18 @@ class TestChshCommand:
             2.0 * math.sqrt(2.0), abs=1e-9
         )
 
+    def test_subnormal_epsilon_writes_nothing_to_stderr(self):
+        # a fresh process with the default warning filters, as a user runs it
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmachine", "chsh", "--mode", "analytic",
+             "--optimal", "--epsilon", "5e-324"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[1].split(",")[5] == "4"
+
 
 class TestClimitCommand:
     def test_fixture_json(self, tmp_path):
@@ -110,6 +125,18 @@ class TestClimitCommand:
         payload = json.loads(out.read_text())
         assert payload["source"] == "fixture:gaussian"
         assert [r["epsilon"] for r in payload["reports"]] == [1.0, 0.1]
+
+    @pytest.mark.parametrize(
+        "rows", ["0,1\n1,-1\n2,1\n", "0,1\n1,1\n3,1\n"], ids=["negative", "non-uniform"]
+    )
+    def test_bad_density_file_exits_2_with_json_error(self, rows, tmp_path, capsys):
+        density = tmp_path / "density.csv"
+        density.write_text("x,value\n" + rows)
+        rc = run_cli("climit", "--density", str(density))
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert "density file" in err["message"]
 
     def test_missing_density_file_is_io_error(self, tmp_path, capsys):
         rc = run_cli("climit", "--density", str(tmp_path / "absent.csv"))
@@ -174,6 +201,27 @@ class TestValidationFailures:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(fields))
         rc = run_cli("spin", "--config", str(cfg))
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert next(iter(fields)) in err["message"]
+
+    @pytest.mark.parametrize(
+        "kind,fields",
+        [
+            ("sweep", {"theta_grid": ["a"]}),
+            ("sweep", {"theta_grid": 5}),
+            ("chsh", {"angles_deg": [0, None, 1, 2]}),
+            ("chsh", {"resolution_deg": "x"}),
+        ],
+        ids=["grid-str-item", "grid-int", "angles-null-item", "resolution-str"],
+    )
+    def test_malformed_config_number_exits_2_with_json_error(
+        self, kind, fields, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        rc = run_cli(kind, "--config", str(cfg))
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"

@@ -26,8 +26,9 @@ from qmachine.epr import (
 )
 from qmachine.epr import _PLACEMENTS, _canonical_setting, _corr_curve
 from qmachine.geometry import Direction, ElasticSpec, Outcome
-from qmachine.sampler import RandomStream
+from qmachine.sampler import BLOCK_SIZE, RandomStream, run_trials
 
+Z = Direction(0.0, 0.0, 1.0)
 ROOT2 = math.sqrt(2.0)
 O1, O2 = Outcome.O1, Outcome.O2
 TSIRELSON = ChshSetting.from_plane_degrees(0.0, 90.0, 225.0, 135.0)
@@ -420,3 +421,74 @@ class TestSeveredRod:
         n = 50_000
         best = severed_chsh_scan(ElasticSpec(1.0, 0.0), angles_count=6, n=n, seed=54)
         assert best <= 2.0 + 4.0 * (2.0 / math.sqrt(n))
+
+
+# Two full blocks and a partial third one.
+PIN_N = 2 * BLOCK_SIZE + 7
+# (right band, left band or None, order, seed) and the counts (O1 O1, O1 O2,
+# O2 O1, O2 O2) of joint_counts(plane_direction(0.4), plane_direction(1.9), ...)
+JOINT_PINS = {
+    "eps0-left": (ElasticSpec(0.0, 0.0), None, "left", 60, (0, 65549, 65530, 0)),
+    "eps0-right": (ElasticSpec(0.0, 0.0), None, "right", 61, (0, 65575, 65504, 0)),
+    "eps0.3-left": (ElasticSpec(0.3, 0.0), None, "left", 62, (25097, 40237, 40454, 25291)),
+    "eps0.3-right": (ElasticSpec(0.3, 0.0), None, "right", 63, (25149, 40191, 40699, 25040)),
+    "eps1-left": (ElasticSpec(1.0, 0.0), None, "left", 64, (30591, 35170, 34965, 30353)),
+    "eps1-right": (ElasticSpec(1.0, 0.0), None, "right", 65, (30639, 35066, 35100, 30274)),
+    "biased-right-band": (
+        ElasticSpec(0.5, 0.2), ElasticSpec(0.5, 0.0), "left", 66, (15155, 50573, 24047, 41304),
+    ),
+}
+# (band, seed) and severed_correlation_mc(band, PIN_N, seed)
+SEVERED_PINS = {
+    "eps0-d0.3": (ElasticSpec(0.0, 0.3), 70, 0.08635250497791408),
+    "eps0.5-d-0.2": (ElasticSpec(0.5, -0.2), 71, 0.04343182355678637),
+}
+
+
+class TestBlockKernelPins:
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    @pytest.mark.parametrize("case", JOINT_PINS)
+    def test_joint_counts_exact(self, case, workers):
+        band, left, order, seed, cells = JOINT_PINS[case]
+        c = joint_counts(
+            plane_direction(0.4), plane_direction(1.9), band, PIN_N, seed,
+            workers=workers, left_elastic=left, order=order,
+        )
+        assert (c[(O1, O1)], c[(O1, O2)], c[(O2, O1)], c[(O2, O2)]) == cells
+
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    @pytest.mark.parametrize("case", SEVERED_PINS)
+    def test_severed_correlation_exact(self, case, workers):
+        band, seed, value = SEVERED_PINS[case]
+        assert severed_correlation_mc(band, PIN_N, seed, workers=workers) == value
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: run_trials(Z, Z, ElasticSpec(1.0, 0.0), 10, 1, workers=0),
+            lambda: joint_counts(Z, Z, ElasticSpec(1.0, 0.0), 10, 1, workers=0),
+            lambda: correlation_mc(Z, Z, ElasticSpec(1.0, 0.0), 10, 1, workers=0),
+            lambda: severed_correlation_mc(ElasticSpec(1.0, 0.0), 10, 1, workers=0),
+        ],
+        ids=["run_trials", "joint_counts", "correlation_mc", "severed_correlation_mc"],
+    )
+    def test_zero_workers_rejected(self, call):
+        with pytest.raises(ValueError, match="workers must be positive"):
+            call()
+
+    # at most three threads, and at most three blocks per call
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=3 * BLOCK_SIZE),
+        eps=st.sampled_from((0.0, 0.3, 1.0)),
+    )
+    def test_counts_do_not_depend_on_workers(self, seed, n, eps):
+        band = ElasticSpec(eps, 0.0)
+        a, b = plane_direction(0.4), plane_direction(1.9)
+        v = Direction.from_spherical(1.1)
+        spin = {run_trials(v, Z, band, n, seed, workers=w) for w in (1, 2, 3)}
+        pair = [joint_counts(a, b, band, n, seed, workers=w) for w in (1, 2, 3)]
+        severed = {severed_correlation_mc(band, n, seed, workers=w) for w in (1, 2, 3)}
+        assert len(spin) == 1 and len(severed) == 1
+        assert pair[0] == pair[1] == pair[2]

@@ -25,6 +25,13 @@ EPS_GRID = ",".join(
      "0.55", "0.6", "0.65", "0.7", "0.75", "0.8", "0.85", "0.9", "0.95", "1"]
 )
 OPTIMAL = ("chsh", "--mode", "analytic", "--optimal", "--epsilon-grid", EPS_GRID)
+# 70000 trials are two blocks of the sampler, the second one partial.  The
+# d grid takes the "=" form: argparse reads a bare "-0.2" as an option.
+SWEEP = (
+    "sweep", "--theta-grid", "70,90,110", "--epsilon-grid", "0,0.3,0.5",
+    "--d-grid=-0.2,0,0.2", "-n", "70000", "--seed", "7", "--workers", "2",
+)
+FIXED = ("chsh", "--angles", "0,90,45,315", "--epsilon-grid", "0,0.75,1", "-n", "70000", "--seed", "11")
 
 # (file name, argv, exit code)
 CASES = [
@@ -32,6 +39,16 @@ CASES = [
     ("chsh_optimal_1deg.json", OPTIMAL + ("--format", "json"), 0),
     ("chsh_optimal_7deg.csv", OPTIMAL + ("--resolution-deg", "7"), 0),
     ("chsh_optimal_7deg.json", OPTIMAL + ("--resolution-deg", "7", "--format", "json"), 0),
+    ("sweep.csv", SWEEP, 0),
+    ("sweep.json", SWEEP + ("--format", "json"), 0),
+    ("chsh_both.csv", FIXED + ("--mode", "both"), 0),
+    ("chsh_both.json", FIXED + ("--mode", "both", "--format", "json"), 0),
+    ("chsh_mc.csv", FIXED + ("--mode", "mc"), 0),
+    ("chsh_mc.json", FIXED + ("--mode", "mc", "--format", "json"), 0),
+    ("chsh_analytic_90.csv", ("chsh", "--mode", "analytic", "--angles", "0,90,90,270",
+                              "--epsilon-grid", "0,0.5,1"), 0),
+    ("climit.json", ("climit", "--eps-values", "1,0.5,0.1,0.01"), 0),
+    ("doubleslit.json", ("doubleslit", "--ratio", "1.05"), 0),
     # exit 3: battery line 5b reports FAIL by design
     ("selftest.txt", ("selftest",), 3),
 ]

@@ -72,6 +72,14 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"trials": 10})
 
     @pytest.mark.parametrize(
+        "fields",
+        [{"theta_grid": ["a"]}, {"theta_grid": 5}, {"angles_deg": [0, None, 1, 2]}],
+    )
+    def test_rejects_non_numeric_sequence(self, fields):
+        with pytest.raises(ValidationError):
+            ExperimentConfig.from_dict({"kind": "sweep", **fields})
+
+    @pytest.mark.parametrize(
         "config",
         [
             ExperimentConfig(kind="warp"),
@@ -106,6 +114,8 @@ class TestExperimentConfig:
             ExperimentConfig(kind="spin", trials=100.5),
             ExperimentConfig(kind="spin", trials=True),
             ExperimentConfig(kind="spin", workers=True),
+            ExperimentConfig(kind="chsh", resolution_deg="x"),
+            ExperimentConfig(kind="chsh", resolution_deg=float("inf")),
         ],
     )
     def test_validation_rejects(self, config):

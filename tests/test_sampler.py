@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmachine.analytic import epsilon_probabilities
 from qmachine.geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordinate
@@ -12,9 +14,11 @@ from qmachine.sampler import (
     TrialRecord,
     TrialRecords,
     _block_lengths,
+    _resolve,
     _sample_block,
     hidden_outcome,
     measure,
+    outcome_at_axis,
     run_recorded,
     run_trials,
     sample_break_point,
@@ -200,7 +204,7 @@ def reference_records(v, u, elastic, n, seed):
     post_up, post_down = SphereState(u), SphereState(-u)
     records = []
     for j, m in enumerate(_block_lengths(n, BLOCK_SIZE)):
-        lam, is_o1 = _sample_block(root, j, m, t, elastic)
+        lam, is_o1 = _sample_block(root.substream(j), m, t, elastic)
         for k in range(m):
             index = j * BLOCK_SIZE + k
             if is_o1[k]:
@@ -340,3 +344,21 @@ class TestRunRecorded:
             for again in (ElasticSpec(1.0, 0.0), ElasticSpec(0.4, -0.1), ElasticSpec(0.0, 0.0)):
                 table = run_trials(post.position, Z, again, 2_000, 36)
                 assert table.frequency(outcome) == 1.0
+
+
+class TestTieRule:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t=st.floats(min_value=-1.0, max_value=1.0),
+        break_point=st.floats(min_value=-1.0, max_value=1.0),
+        tie=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_scalar_rule_matches_vectorized_rule(self, t, break_point, tie, seed):
+        if tie:
+            break_point = t
+        scalar_rs, vector_rs = RandomStream(seed), RandomStream(seed)
+        scalar_up = outcome_at_axis(t, break_point, scalar_rs) is Outcome.O1
+        assert scalar_up == _resolve(np.array([break_point]), t, vector_rs)[0]
+        # both consumed the same draws: one coin at a tie, none otherwise
+        assert scalar_rs.random() == vector_rs.random()
