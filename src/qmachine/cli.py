@@ -15,7 +15,6 @@ import sys
 from .harness import (
     EXIT_IO,
     EXIT_VALIDATION,
-    DEFAULT_SEED,
     ExperimentConfig,
     ValidationError,
     run,
@@ -114,8 +113,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     # default climit source when neither flag nor config names one
     if data["kind"] == "climit" and data.get("density_path") is None and data.get("fixture") is None:
         data["fixture"] = "gaussian"
-    if "seed" not in data:
-        data["seed"] = DEFAULT_SEED
     return ExperimentConfig.from_dict(data)
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_MASS_SOLVE_TOL = 1e-12
 _RENORM_WARN = 1e-6
 _MODE_TOL = 1e-12
 
@@ -82,42 +81,30 @@ class DensityGrid:
 
 
 def threshold_for_mass(grid: DensityGrid, eps: float) -> float:
-    """Level c >= 0 such that the cap above c has mass eps.
+    """Level c >= 0 such that the cap above c has mass eps, solved exactly.
 
-    The cap mass dx * sum(max(values - c, 0)) is continuous, piecewise
-    linear, and strictly decreasing in c until the cap vanishes, so the
-    bracketing bisection converges to |mass(c) - eps| <= 1e-12.
+    The cap mass M(c) = dx * sum(max(values - c, 0)) is piecewise linear in
+    c.  With the values sorted descending, s_1 >= s_2 >= ..., and
+    S_k = s_1 + ... + s_k, the mass at knot s_{k+1} is dx*(S_k - k*s_{k+1})
+    (s_{n+1} = 0).  For the first k where that reaches eps,
+    c = (S_k - eps/dx) / k, kept inside [s_{k+1}, s_k] against rounding so
+    that c never increases with eps.
     """
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must be in (0, 1], got {eps!r}")
-    total = grid.mass()
-    if eps > total + _MASS_SOLVE_TOL:
-        raise ValueError(f"eps {eps!r} exceeds the total mass {total!r}")
-    v, dx = grid.values, grid.dx
-
-    def cap_mass(c: float) -> float:
-        return float(np.maximum(v - c, 0.0).sum()) * dx
-
-    lo, hi = 0.0, float(v.max())
-    if abs(total - eps) <= _MASS_SOLVE_TOL:
-        return 0.0
-    best_c, best_err = 0.0, abs(total - eps)
-    for _ in range(200):
-        c = 0.5 * (lo + hi)
-        m = cap_mass(c)
-        err = abs(m - eps)
-        if err < best_err:
-            best_c, best_err = c, err
-        if err <= _MASS_SOLVE_TOL:
-            return c
-        if m > eps:
-            lo = c
-        else:
-            hi = c
-        if hi - lo <= np.finfo(float).tiny:
-            break
-    return best_c
+    if eps == 1.0:
+        return 0.0  # the whole unit mass
+    s = np.sort(grid.values)[::-1]
+    head = np.cumsum(s)
+    k = np.arange(1, s.size + 1)
+    knots = np.append(s[1:], 0.0)
+    caps = grid.dx * (head - k * knots)
+    # the first crossing: along a plateau the caps may wobble by an ulp
+    i = int(np.argmax(caps >= eps))
+    if caps[i] < eps:
+        return 0.0  # eps is above the rounded total mass
+    return float(np.clip((head[i] - eps / grid.dx) / k[i], knots[i], s[i]))
 
 
 @dataclass(frozen=True)

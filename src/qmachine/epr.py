@@ -308,6 +308,9 @@ _PLACEMENTS = (
 # Cells (a' rows x grid angles) per array chunk of the max_chsh grid scan:
 # memory stays O(m * rows) instead of O(m^2) at fine resolutions.
 _CHUNK_CELLS = 2**15
+# Finest max_chsh grid step (7200 angles).  The scan costs O(m^2) in the m
+# grid angles, and a step of 1e-6 degrees would ask numpy for gigabytes.
+MIN_RESOLUTION_DEG = 0.05
 
 
 def _canonical_setting(placement: int, alpha: float, beta: float, gamma: float) -> ChshSetting:
@@ -340,8 +343,8 @@ def max_chsh(
     """
     if elastic.d != 0.0:
         raise ValueError("pair correlations require an unbiased band (d = 0)")
-    if resolution_deg <= 0.0:
-        raise ValueError("resolution must be positive")
+    if not resolution_deg >= MIN_RESOLUTION_DEG:
+        raise ValueError(f"resolution must be at least {MIN_RESOLUTION_DEG} degrees")
     eps = elastic.epsilon
     m = max(8, int(round(360.0 / resolution_deg)))
     step = 2.0 * math.pi / m

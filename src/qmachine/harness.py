@@ -24,6 +24,7 @@ from .climit import (
     save_density_csv,
 )
 from .epr import (
+    MIN_RESOLUTION_DEG,
     TSIRELSON_ANGLES_DEG,
     ChshSetting,
     chsh_analytic,
@@ -40,8 +41,6 @@ EXIT_IO = 4
 
 # Fixed so that bare invocations are reproducible.
 DEFAULT_SEED = 42
-
-KINDS = ("spin", "sweep", "chsh", "climit", "doubleslit", "selftest")
 
 SPIN_COLUMNS = (
     "theta_deg", "epsilon", "d", "n", "seed", "freq_o1", "analytic_p1", "stderr", "chi2",
@@ -110,6 +109,8 @@ class ExperimentConfig:
         for key in ("theta_grid", "epsilon_grid", "d_grid", "angles_deg", "eps_values"):
             if coerced.get(key) is not None:
                 try:
+                    if isinstance(coerced[key], (str, dict)):  # iterable, but not a list
+                        raise TypeError
                     coerced[key] = tuple(float(x) for x in coerced[key])
                 except (TypeError, ValueError):
                     raise ValidationError(f"{key} must be a list of numbers") from None
@@ -123,7 +124,7 @@ class ExperimentConfig:
         return out
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _RUNNERS:
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
         if self.kind == "selftest":
             return
@@ -155,8 +156,8 @@ class ExperimentConfig:
                 raise ValidationError(f"chsh mode must be analytic, mc or both")
             if len(self.angles_deg) != 4:
                 raise ValidationError("chsh needs exactly four setting angles")
-            if not self.resolution_deg > 0:
-                raise ValidationError("resolution must be positive")
+            if not self.resolution_deg >= MIN_RESOLUTION_DEG:
+                raise ValidationError(f"resolution must be at least {MIN_RESOLUTION_DEG} degrees")
             for eps in self.epsilon_grid or (self.epsilon,):
                 self._elastic(eps, 0.0)
         elif self.kind == "climit":

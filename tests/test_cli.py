@@ -63,6 +63,18 @@ class TestConfigFile:
         assert rc == 0
         assert out.read_text().splitlines()[1].startswith("30,")
 
+    def test_seed_defaults_to_42_without_flag_or_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 1000}))
+        outputs = []
+        for name, extra in (("bare", ()), ("config", ("--config", str(cfg))),
+                            ("flag", ("--seed", "42"))):
+            out = tmp_path / f"{name}.csv"
+            assert run_cli("spin", "-n", "1000", *extra, "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].decode().splitlines()[1].split(",")[4] == "42"
+
     def test_malformed_config_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -213,8 +225,11 @@ class TestValidationFailures:
             ("sweep", {"theta_grid": 5}),
             ("chsh", {"angles_deg": [0, None, 1, 2]}),
             ("chsh", {"resolution_deg": "x"}),
+            ("sweep", {"theta_grid": "60"}),
+            ("chsh", {"angles_deg": "1234"}),
         ],
-        ids=["grid-str-item", "grid-int", "angles-null-item", "resolution-str"],
+        ids=["grid-str-item", "grid-int", "angles-null-item", "resolution-str",
+             "grid-str", "angles-str"],
     )
     def test_malformed_config_number_exits_2_with_json_error(
         self, kind, fields, tmp_path, capsys
@@ -226,3 +241,14 @@ class TestValidationFailures:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert next(iter(fields)) in err["message"]
+
+    @pytest.mark.parametrize("resolution", ["1e-300", "1e-6", "0.01"])
+    def test_too_fine_resolution_exits_2_with_json_error(self, resolution, capsys):
+        # each value is rejected before any grid is allocated
+        rc = run_cli("chsh", "--mode", "analytic", "--optimal", "--resolution-deg", resolution)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "validation"
+        assert "resolution" in err["message"]

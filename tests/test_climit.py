@@ -1,7 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qmachine.climit import (
     DensityGrid,
@@ -21,6 +25,27 @@ def uniform_grid(n=101, width=2.0, x0=-1.0):
     dx = width / n
     height = 1.0 / width
     return DensityGrid(x0, dx, np.full(n, height))
+
+
+@st.composite
+def random_grids(draw, max_points=2000):
+    """Unit-mass grids with ties, plateaus and zero runs: a fill value
+    (often 0) with scattered draws from a few shared levels or anywhere."""
+    n = draw(st.integers(3, max_points))
+    levels = st.sampled_from((0.0, 0.5, 1.0, 7.0))
+    anywhere = st.floats(0.0, 1e3, allow_subnormal=False)
+    v = draw(arrays(np.float64, n, elements=levels | anywhere, fill=levels))
+    assume(v.sum() > 0.0)
+    dx = draw(st.floats(1e-3, 1.0))
+    x0 = draw(st.floats(-10.0, 10.0))
+    return DensityGrid(x0, dx, v / v.sum() / dx)
+
+
+def cap_mass(grid, c):
+    return float(np.maximum(grid.values - c, 0.0).sum()) * grid.dx
+
+
+EPS = st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from((1e-6, 0.5, 1.0))
 
 
 def triangle_grid(n=20001, apex=0.0):
@@ -112,6 +137,42 @@ class TestThresholdForMass:
     def test_rejects_bad_eps(self, eps):
         with pytest.raises(ValueError):
             threshold_for_mass(uniform_grid(), eps)
+
+
+class TestThresholdProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(grid=random_grids(), eps=EPS)
+    def test_cap_holds_eps(self, grid, eps):
+        c = threshold_for_mass(grid, eps)
+        assert c >= 0.0
+        assert abs(cap_mass(grid, c) - eps) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=random_grids(), eps_pair=st.tuples(EPS, EPS).map(sorted))
+    def test_level_never_rises_with_eps(self, grid, eps_pair):
+        lo, hi = eps_pair
+        c_lo, c_hi = threshold_for_mass(grid, lo), threshold_for_mass(grid, hi)
+        assert c_lo >= c_hi
+        narrow, wide = grid.values > c_lo, grid.values > c_hi
+        assert not (narrow & ~wide).any()
+
+    @settings(max_examples=50, deadline=None)
+    @given(grid=random_grids())
+    def test_full_mass_is_level_zero(self, grid):
+        assert threshold_for_mass(grid, 1.0) == 0.0
+
+    def test_eps_at_every_knot_mass_and_its_neighbours(self):
+        # eps exactly at a knot, where two linear pieces meet, and one ulp
+        # to either side, on plateaus and zero runs
+        v = np.array([0.0, 3.0, 3.0, 1.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+        g = DensityGrid(0.0, 0.1, v / v.sum() / 0.1)
+        knots = [cap_mass(g, c) for c in np.unique(g.values)]
+        eps = sorted({e for k in knots for e in (k, np.nextafter(k, 0.0), np.nextafter(k, 2.0))
+                      if 0.0 < e <= 1.0})
+        levels = [threshold_for_mass(g, e) for e in eps]
+        for e, c in zip(eps, levels):
+            assert c >= 0.0 and abs(cap_mass(g, c) - e) <= 1e-12
+        assert levels == sorted(levels, reverse=True)
 
 
 class TestEpsilonTransform:
@@ -237,6 +298,19 @@ class TestRegionMass:
             parts = region_mass(g, lo, mid) + region_mass(g, mid, hi)
             assert abs(whole - parts) <= 1e-9
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        grid=random_grids(max_points=300),
+        cuts=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).map(sorted),
+    )
+    def test_additive_over_adjoining_intervals_on_random_grids(self, grid, cuts):
+        # three cut points spread over the grid and a cell beyond each end
+        span = (grid.n + 1) * grid.dx
+        lo, mid, hi = (grid.x0 - grid.dx + f * span for f in cuts)
+        assume(lo < mid < hi)
+        parts = region_mass(grid, lo, mid) + region_mass(grid, mid, hi)
+        assert abs(region_mass(grid, lo, hi) - parts) <= 1e-12
+
     def test_double_slit_half_mass_behind_slit_one(self):
         g = double_slit_grid(1.0)
         assert region_mass(g, -4.5, 0.0) == pytest.approx(0.5, abs=1e-3)
@@ -289,6 +363,24 @@ class TestDensityCsv:
         assert back.x0 == pytest.approx(g.x0, abs=1e-15)
         assert back.dx == pytest.approx(g.dx, rel=1e-12)
         assert np.allclose(back.values, g.values, atol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(grid=random_grids(max_points=500))
+    def test_file_carries_every_value_exactly(self, grid, tmp_path_factory):
+        path = tmp_path_factory.mktemp("density") / "random.csv"
+        save_density_csv(grid, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        written = np.array([[float(x), float(v)] for x, v in rows])
+        assert written[:, 0].tobytes() == grid.positions.tobytes()
+        assert written[:, 1].tobytes() == grid.values.tobytes()
+        back = load_density_csv(path)
+        assert back.x0 == grid.x0 and back.n == grid.n
+        assert back.dx == pytest.approx(grid.dx, rel=1e-9)
+        # the values reach the grid untouched; only its renormalization
+        # with the dx re-estimated from the positions can move them
+        again = DensityGrid(back.x0, back.dx, grid.values).values
+        assert back.values.tobytes() == again.tobytes()
 
     def test_headerless_file(self, tmp_path):
         path = tmp_path / "bare.csv"

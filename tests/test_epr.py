@@ -367,6 +367,13 @@ class TestMaxChsh:
         assert best <= coplanar + 1e-6
         assert best >= coplanar - 1e-3  # the search does find the optimum
 
+    # each value fails the check before any grid is built; a finer step than
+    # the bound is never run
+    @pytest.mark.parametrize("resolution_deg", [1e-300, 1e-6, 0.01, 0.0, -1.0, float("nan")])
+    def test_rejects_resolution_below_the_bound(self, resolution_deg):
+        with pytest.raises(ValueError, match="resolution must be at least"):
+            max_chsh(ElasticSpec(1.0, 0.0), resolution_deg)
+
 
 class TestMaxChshGridScan:
     # 0.25 deg gives m = 1440, which leaves a partial last chunk

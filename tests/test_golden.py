@@ -4,8 +4,10 @@ Each case runs one ``qmachine`` command line in process and compares its
 stdout bytes and exit code with ``tests/data/golden/<name>``.  The files are
 written only by an explicit regeneration, from the repository root:
 
-    PYTHONPATH=src python tests/test_golden.py --regenerate
+    PYTHONPATH=src python tests/test_golden.py --regenerate [NAME ...]
 
+With names (for example ``climit.json``) only those files are written; with
+none, all of them.  An unknown name exits non-zero and writes nothing.
 Regenerate only for an intended output change, and list every changed row.
 """
 
@@ -69,9 +71,31 @@ def test_cli_output_matches_golden(name, argv, exit_code):
         assert stdout == fh.read()
 
 
-def regenerate() -> None:
+def test_regenerate_writes_only_the_named_cases(tmp_path, monkeypatch):
+    with open(os.path.join(GOLDEN_DIR, "chsh_analytic_90.csv"), "rb") as fh:
+        expected = fh.read()
+    monkeypatch.setitem(globals(), "GOLDEN_DIR", str(tmp_path))
+    regenerate(["chsh_analytic_90.csv"])
+    assert os.listdir(tmp_path) == ["chsh_analytic_90.csv"]
+    assert (tmp_path / "chsh_analytic_90.csv").read_bytes() == expected
+
+
+def test_regenerate_with_an_unknown_name_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "GOLDEN_DIR", str(tmp_path))
+    with pytest.raises(SystemExit, match="unknown golden case"):
+        regenerate(["chsh_analytic_90.csv", "no_such_case.csv"])
+    assert os.listdir(tmp_path) == []
+
+
+def regenerate(names=()) -> None:
+    """Rewrite the named golden files, or all of them when none is named."""
+    unknown = sorted(set(names) - {c[0] for c in CASES})
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}; nothing written")
     outputs = []
     for name, argv, exit_code in CASES:
+        if names and name not in names:
+            continue
         rc, stdout = run_case(argv)
         if rc != exit_code:
             raise SystemExit(f"{name}: exit {rc}, expected {exit_code}; nothing written")
@@ -84,6 +108,8 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        raise SystemExit(f"usage: {sys.argv[0]} --regenerate  (overwrites {GOLDEN_DIR})")
-    regenerate()
+    if sys.argv[1:2] != ["--regenerate"]:
+        raise SystemExit(
+            f"usage: {sys.argv[0]} --regenerate [NAME ...]  (overwrites files in {GOLDEN_DIR})"
+        )
+    regenerate(sys.argv[2:])

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from qmachine.analytic import ProbabilityPair
+from qmachine.epr import MIN_RESOLUTION_DEG
 from qmachine.harness import (
     CHSH_COLUMNS,
     EXIT_OK,
@@ -73,7 +74,8 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"theta_grid": ["a"]}, {"theta_grid": 5}, {"angles_deg": [0, None, 1, 2]}],
+        [{"theta_grid": ["a"]}, {"theta_grid": 5}, {"angles_deg": [0, None, 1, 2]},
+         {"theta_grid": "60"}, {"angles_deg": "1234"}, {"theta_grid": {"60": 1}}],
     )
     def test_rejects_non_numeric_sequence(self, fields):
         with pytest.raises(ValidationError):
@@ -116,6 +118,9 @@ class TestExperimentConfig:
             ExperimentConfig(kind="spin", workers=True),
             ExperimentConfig(kind="chsh", resolution_deg="x"),
             ExperimentConfig(kind="chsh", resolution_deg=float("inf")),
+            ExperimentConfig(kind="chsh", resolution_deg=1e-300),
+            ExperimentConfig(kind="chsh", resolution_deg=1e-6),
+            ExperimentConfig(kind="chsh", resolution_deg=0.01),
         ],
     )
     def test_validation_rejects(self, config):
@@ -126,6 +131,9 @@ class TestExperimentConfig:
         for kind in ("spin", "sweep", "chsh", "doubleslit", "selftest"):
             ExperimentConfig(kind=kind).validate()
         ExperimentConfig(kind="climit", fixture="gaussian").validate()
+
+    def test_validation_accepts_the_finest_resolution(self):
+        ExperimentConfig(kind="chsh", resolution_deg=MIN_RESOLUTION_DEG).validate()
 
 
 def read_csv(path):
