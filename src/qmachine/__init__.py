@@ -45,7 +45,6 @@ from .epr import (
     chsh_analytic,
     chsh_estimate,
     chsh_sweep,
-    chsh_value,
     correlation_analytic,
     correlation_mc,
     joint_counts,

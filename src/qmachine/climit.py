@@ -52,7 +52,7 @@ class DensityGrid:
             raise ValueError("density has zero mass")
         if abs(mass - 1.0) > _RENORM_WARN:
             warnings.warn(
-                f"density mass {mass:.9g} renormalized to 1", stacklevel=2
+                f"density mass {mass:.9g} renormalized to 1", stacklevel=3
             )
         v /= mass
         v.flags.writeable = False
@@ -153,11 +153,17 @@ def epsilon_transform(grid: DensityGrid, eps: float) -> CutReport:
     """Cut at the eps-mass level, keep the cap, renormalize by eps.
 
     eps = 1 cuts at level 0 and returns the density unchanged.  The input
-    grid is untouched; the report carries a new grid.
+    grid is untouched; the report carries a new grid.  Raises ValueError
+    when eps is so small that the renormalized cap rounds to zero or
+    overflows.
     """
     c = threshold_for_mass(grid, eps)
-    raw = np.maximum(grid.values - c, 0.0) / eps
-    mass_error = abs(float(raw.sum()) * grid.dx - 1.0)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        raw = np.maximum(grid.values - c, 0.0) / eps
+        mass = float(raw.sum()) * grid.dx
+    if not 0.0 < mass < np.inf:
+        raise ValueError(f"cut eps {eps!r} is too small: the renormalized cap has mass {mass}")
+    mass_error = abs(mass - 1.0)
     transformed = DensityGrid(grid.x0, grid.dx, raw)
     return CutReport(float(eps), c, transformed, _support_runs(raw > 0.0), mass_error)
 
@@ -245,7 +251,11 @@ def double_slit_grid(
             np.pi * (x[inside] - center) / (2.0 * slit_half_width)
         ) ** 2
     dx = float(x[1] - x[0])
-    return DensityGrid(float(x[0]), dx, v / (v.sum() * dx))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        mass = v.sum() * dx
+    if not np.isfinite(mass):
+        raise ValueError(f"peak ratio {peak_ratio!r} overflows the density mass")
+    return DensityGrid(float(x[0]), dx, v / mass)
 
 
 @dataclass(frozen=True)

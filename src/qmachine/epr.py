@@ -267,24 +267,6 @@ def chsh_estimate(
     return ChshEstimate(value, stderr, est)
 
 
-def chsh_value(
-    setting: ChshSetting,
-    elastic: ElasticSpec,
-    mode: str = "analytic",
-    n: int | None = None,
-    seed=None,
-    workers: int = 1,
-) -> float:
-    """CHSH combination for fixed settings, exact or Monte Carlo."""
-    if mode == "analytic":
-        return chsh_analytic(setting, elastic)
-    if mode in ("mc", "monte-carlo"):
-        if not n:
-            raise ValueError("monte-carlo mode needs a positive trial count")
-        return chsh_estimate(setting, elastic, n, 0 if seed is None else seed, workers).value
-    raise ValueError(f"mode must be 'analytic' or 'monte-carlo', got {mode!r}")
-
-
 @dataclass(frozen=True)
 class ChshOptimum:
     """Settings-optimized CHSH: the largest |S| and where it is attained."""
@@ -292,17 +274,6 @@ class ChshOptimum:
     max_abs_s: float
     signed_s: float
     setting: ChshSetting
-
-
-# Sign placements: which of the four correlation terms carries the minus.
-# Each maps back to the canonical combination by swapping a<->a' and/or
-# b<->b', so the convention cannot hide a violation.
-_PLACEMENTS = (
-    (1.0, 1.0, 1.0, -1.0),  # canonical: minus on (a', b')
-    (1.0, 1.0, -1.0, 1.0),  # minus on (a', b)  -> swap b, b'
-    (1.0, -1.0, 1.0, 1.0),  # minus on (a, b')  -> swap a, a'
-    (-1.0, 1.0, 1.0, 1.0),  # minus on (a, b)   -> swap both
-)
 
 
 # Cells (a' rows x grid angles) per array chunk of the max_chsh grid scan:
@@ -313,19 +284,6 @@ _CHUNK_CELLS = 2**15
 MIN_RESOLUTION_DEG = 0.05
 
 
-def _canonical_setting(placement: int, alpha: float, beta: float, gamma: float) -> ChshSetting:
-    """Angles (a=0, a'=alpha, b=beta, b'=gamma) relabeled so the canonical
-    sign pattern reproduces the placement's value."""
-    a, ap, b, bp = 0.0, alpha, beta, gamma
-    if placement in (1, 3):
-        b, bp = bp, b
-    if placement in (2, 3):
-        a, ap = ap, a
-    return ChshSetting(
-        plane_direction(a), plane_direction(ap), plane_direction(b), plane_direction(bp)
-    )
-
-
 def max_chsh(
     elastic: ElasticSpec, resolution_deg: float = 1.0, refine: bool = True
 ) -> ChshOptimum:
@@ -334,12 +292,20 @@ def max_chsh(
     Grid search at ``resolution_deg`` over the three free angles (a is pinned
     at 0 by rotational symmetry), exploiting that for a fixed a' the b and b'
     angles maximize independently; optionally polished by a Nelder-Mead local
-    search.  All four sign placements are scanned.
+    search.
+
+    Only the canonical sign placement, minus on (a', b'), is scanned.  The
+    other three are exact relabelings of the same grid: minus on (a', b) is
+    the canonical scan with b and b' swapped, minus on (a, b') is the
+    canonical scan at a' -> -a' rotated by a grid angle, and minus on (a, b)
+    is both.  Every correlation is read from the same ``curve`` array, so
+    their row scores are a permutation of the canonical ones, bit for bit,
+    and none can score strictly higher.
 
     The grid is scored as arrays, one chunk of a' rows (about
     ``_CHUNK_CELLS`` cells) at a time, so memory grows as O(m * rows), not
-    O(m^2).  Ties break as in a sequential scan over placement, then a', then
-    +S before -S: the first maximum wins.
+    O(m^2).  Ties break as in a sequential scan over a', then +S before -S:
+    the first maximum wins.
     """
     if elastic.d != 0.0:
         raise ValueError("pair correlations require an unbiased band (d = 0)")
@@ -354,39 +320,34 @@ def max_chsh(
     # shifted[k, i] = E(angle_i - angle_k), a strided view of the doubled curve
     shifted = sliding_window_view(np.concatenate((curve[1:], curve)), m)[::-1]
     rows = max(1, _CHUNK_CELLS // m)
-    best = None  # (value, sign, placement, alpha, beta, gamma)
-    for placement, (s1, s2, s3, s4) in enumerate(_PLACEMENTS):
-        # the signs are +-1, so x + s * y is exactly x + y or x - y
-        beta_curve, beta_op = s1 * curve, np.add if s3 > 0 else np.subtract
-        gamma_curve, gamma_op = s2 * curve, np.add if s4 > 0 else np.subtract
-        for start in range(0, m, rows):
-            rolled = shifted[start:start + rows]
-            beta_group = beta_op(beta_curve, rolled)
-            gamma_group = gamma_op(gamma_curve, rolled)
-            hi = beta_group.max(axis=1) + gamma_group.max(axis=1)
-            lo = beta_group.min(axis=1) + gamma_group.min(axis=1)
-            # (hi, -lo) per row in scan order; argmax returns the first maximum
-            scores = np.column_stack((hi, -lo)).ravel()
-            j = int(scores.argmax())
-            if best is None or scores[j] > best[0]:
-                r, flip = divmod(j, 2)
-                if flip:
-                    b_at, g_at = beta_group[r].argmin(), gamma_group[r].argmin()
-                else:
-                    b_at, g_at = beta_group[r].argmax(), gamma_group[r].argmax()
-                best = (
-                    scores[j], -1.0 if flip else 1.0, placement,
-                    grid[start + r], grid[int(b_at)], grid[int(g_at)],
-                )
+    best = None  # (value, sign, alpha, beta, gamma)
+    for start in range(0, m, rows):
+        rolled = shifted[start:start + rows]
+        beta_group = curve + rolled
+        gamma_group = curve - rolled
+        hi = beta_group.max(axis=1) + gamma_group.max(axis=1)
+        lo = beta_group.min(axis=1) + gamma_group.min(axis=1)
+        # (hi, -lo) per row in scan order; argmax returns the first maximum
+        scores = np.column_stack((hi, -lo)).ravel()
+        j = int(scores.argmax())
+        if best is None or scores[j] > best[0]:
+            r, flip = divmod(j, 2)
+            if flip:
+                b_at, g_at = beta_group[r].argmin(), gamma_group[r].argmin()
+            else:
+                b_at, g_at = beta_group[r].argmax(), gamma_group[r].argmax()
+            best = (
+                scores[j], -1.0 if flip else 1.0,
+                grid[start + r], grid[int(b_at)], grid[int(g_at)],
+            )
 
-    value, sign, placement, alpha, beta, gamma = best
-    s1, s2, s3, s4 = _PLACEMENTS[placement]
+    value, sign, alpha, beta, gamma = best
     if refine and eps > 0.0:
 
         def objective(x):
             al, be, ga = x
             e = lambda ang: float(_corr_curve(np.array([ang]), eps)[0])
-            s = s1 * e(be) + s2 * e(ga) + s3 * e(be - al) + s4 * e(ga - al)
+            s = e(be) + e(ga) + e(be - al) - e(ga - al)
             return -sign * s
 
         res = minimize(
@@ -399,7 +360,9 @@ def max_chsh(
             value = -res.fun
             alpha, beta, gamma = (float(x) for x in res.x)
 
-    setting = _canonical_setting(placement, alpha, beta, gamma)
+    setting = ChshSetting(
+        plane_direction(0.0), plane_direction(alpha), plane_direction(beta), plane_direction(gamma)
+    )
     return ChshOptimum(value, sign * value, setting)
 
 

@@ -55,6 +55,8 @@ _SCALAR_FIELDS = ("theta_deg", "epsilon", "d", "peak_ratio", "resolution_deg")
 _GRID_FIELDS = ("angles_deg", "theta_grid", "epsilon_grid", "d_grid")
 # Integer config fields; a bool is rejected, not taken as 0 or 1.
 _INT_FIELDS = ("trials", "seed", "workers")
+# Path config fields: a string or null, never a number taken as a file descriptor.
+_PATH_FIELDS = ("out", "density_path", "out_prefix")
 
 
 class ValidationError(ValueError):
@@ -68,8 +70,9 @@ class ExperimentConfig:
     Only the fields relevant to ``kind`` are consulted; ``validate`` checks
     them against the owning module's preconditions before any work starts,
     and rejects a non-finite angle, search resolution, band parameter or peak
-    ratio in any field, and a ``trials``, ``seed`` or ``workers`` that is not
-    an int (or is a bool).
+    ratio in any field, a ``trials``, ``seed`` or ``workers`` that is not
+    an int (or is a bool), a path that is not a string, and an ``optimize``
+    that is not a bool.
     """
 
     kind: str
@@ -133,6 +136,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in _PATH_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValidationError(f"{name} must be a path string or null, got {value!r}")
+        if not isinstance(self.optimize, bool):
+            raise ValidationError(f"optimize must be true or false, got {self.optimize!r}")
         if self.trials < 1:
             raise ValidationError(f"trials must be positive, got {self.trials}")
         if self.seed < 0:
@@ -400,7 +409,10 @@ def _run_climit(config: ExperimentConfig) -> int:
     else:
         grid = gaussian_grid()
         source = "fixture:gaussian"
-    reports = [epsilon_transform(grid, eps) for eps in config.eps_values]
+    try:
+        reports = [epsilon_transform(grid, eps) for eps in config.eps_values]
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     payload = {
         "source": source,
         "points": grid.n,
@@ -418,7 +430,10 @@ def _run_climit(config: ExperimentConfig) -> int:
 
 
 def _run_doubleslit(config: ExperimentConfig) -> int:
-    report = double_slit_scenario(config.peak_ratio, config.eps_values)
+    try:
+        report = double_slit_scenario(config.peak_ratio, config.eps_values)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     _write_text(config.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return EXIT_OK
 
@@ -447,8 +462,9 @@ _RUNNERS = {
 def run(config: ExperimentConfig) -> int:
     """Validate and execute an experiment; returns the exit status.
 
-    Raises :class:`ValidationError` for bad configs and density files, and
-    lets I/O errors propagate; the CLI maps both onto their exit codes.
+    Raises :class:`ValidationError` for bad configs and density files and
+    for a cut eps or peak ratio that leaves no finite density, and lets I/O
+    errors propagate; the CLI maps both onto their exit codes.
     """
     config.validate()
     return _RUNNERS[config.kind](config)

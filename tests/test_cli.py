@@ -227,9 +227,16 @@ class TestValidationFailures:
             ("chsh", {"resolution_deg": "x"}),
             ("sweep", {"theta_grid": "60"}),
             ("chsh", {"angles_deg": "1234"}),
+            ("spin", {"out": True}),
+            ("spin", {"out": 7}),
+            ("climit", {"density_path": 5}),
+            ("climit", {"out_prefix": ["a"]}),
+            ("chsh", {"optimize": "false"}),
+            ("chsh", {"optimize": 1}),
         ],
         ids=["grid-str-item", "grid-int", "angles-null-item", "resolution-str",
-             "grid-str", "angles-str"],
+             "grid-str", "angles-str", "out-bool", "out-int", "density-path-int",
+             "out-prefix-list", "optimize-str", "optimize-int"],
     )
     def test_malformed_config_number_exits_2_with_json_error(
         self, kind, fields, tmp_path, capsys
@@ -241,6 +248,25 @@ class TestValidationFailures:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert next(iter(fields)) in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (("climit", "--eps-values", "1e-19"), "eps 1e-19"),
+            (("doubleslit", "--eps-values", "1e-300"), "eps 1e-300"),
+            (("doubleslit", "--ratio", "1e308"), "ratio 1e+308"),
+        ],
+        ids=["climit-eps-cap-rounds-away", "doubleslit-eps-cap-rounds-away",
+             "doubleslit-ratio-overflows"],
+    )
+    def test_degenerate_density_exits_2_with_json_error(self, argv, needle, capsys):
+        rc = run_cli(*argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "validation"
+        assert needle in err["message"]
 
     @pytest.mark.parametrize("resolution", ["1e-300", "1e-6", "0.01"])
     def test_too_fine_resolution_exits_2_with_json_error(self, resolution, capsys):

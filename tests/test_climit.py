@@ -64,8 +64,10 @@ class TestDensityGrid:
         assert g.mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_warns_on_large_renormalization(self):
-        with pytest.warns(UserWarning, match="renormalized"):
+        with pytest.warns(UserWarning, match="renormalized") as record:
             DensityGrid(0.0, 0.1, np.array([1.0, 2.0, 1.0]))
+        # the warning names the line that built the grid
+        assert record[0].filename == __file__
 
     @pytest.mark.parametrize(
         "x0,dx,values",
@@ -226,6 +228,15 @@ class TestEpsilonTransform:
         width = sum(j - i + 1 for i, j in report.support) * g.dx
         predicted = 2.0 * (1.5 * 0.01 * math.sqrt(2.0 * math.pi)) ** (1.0 / 3.0)
         assert abs(width - predicted) <= 3.0 * g.dx
+
+    def test_rejects_eps_whose_renormalized_cap_overflows(self):
+        # the cumulative sum of this 7-cell plateau rounds below 7 times its
+        # height, so the cut level sits a few ulps under the plateau, and a
+        # few ulps divided by 5e-324 overflow
+        with pytest.warns(UserWarning, match="renormalized"):
+            g = DensityGrid(0.0, 0.01, np.array([0.0] + [1.0] * 7 + [0.0]))
+        with pytest.raises(ValueError, match="eps 5e-324"):
+            epsilon_transform(g, 5e-324)
 
     def test_report_json_keys(self):
         report = epsilon_transform(gaussian_grid(201), 0.5)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -14,7 +14,6 @@ from qmachine.epr import (
     chsh_analytic,
     chsh_estimate,
     chsh_sweep,
-    chsh_value,
     correlation_analytic,
     correlation_mc,
     joint_counts,
@@ -24,7 +23,7 @@ from qmachine.epr import (
     severed_chsh_scan,
     severed_correlation_mc,
 )
-from qmachine.epr import _PLACEMENTS, _canonical_setting, _corr_curve
+from qmachine.epr import _corr_curve
 from qmachine.geometry import Direction, ElasticSpec, Outcome
 from qmachine.sampler import BLOCK_SIZE, RandomStream, run_trials
 
@@ -55,14 +54,41 @@ def brute_force_max_abs_s(eps, step_deg=3.0):
     return best
 
 
-def reference_grid_scan(eps, resolution_deg):
-    """The sequential max_chsh grid scan, one np.roll per (placement, a')
-    pair, with no polish: returns (max |S|, signed S, setting)."""
+# The four CHSH sign placements (which correlation term carries the minus),
+# each with the relabeling that maps it back to the canonical
+# S = E(a,b) + E(a,b') + E(a',b) - E(a',b').  Written out here, not taken
+# from qmachine.epr, so the reference shares no search code with max_chsh.
+REF_PLACEMENTS = (
+    (1.0, 1.0, 1.0, -1.0),  # minus on (a', b')
+    (1.0, 1.0, -1.0, 1.0),  # minus on (a', b)  -> swap b, b'
+    (1.0, -1.0, 1.0, 1.0),  # minus on (a, b')  -> swap a, a'
+    (-1.0, 1.0, 1.0, 1.0),  # minus on (a, b)   -> swap both
+)
+
+
+def ref_setting(placement, alpha, beta, gamma):
+    """Angles (a=0, a'=alpha, b=beta, b'=gamma) of a placement, relabeled
+    so the canonical sign pattern reproduces the placement's value."""
+    a, ap, b, bp = 0.0, alpha, beta, gamma
+    if placement in (1, 3):
+        b, bp = bp, b
+    if placement in (2, 3):
+        a, ap = ap, a
+    return ChshSetting(
+        plane_direction(a), plane_direction(ap), plane_direction(b), plane_direction(bp)
+    )
+
+
+def placement_scans(eps, resolution_deg):
+    """The sequential max_chsh grid scan, one np.roll per a', run once per
+    sign placement: each placement's first maximum as
+    (|S|, sign, alpha, beta, gamma)."""
     m = max(8, int(round(360.0 / resolution_deg)))
     grid = np.arange(m) * (2.0 * math.pi / m)
     curve = _corr_curve(grid, eps)
-    best = None
-    for placement, (s1, s2, s3, s4) in enumerate(_PLACEMENTS):
+    scans = []
+    for s1, s2, s3, s4 in REF_PLACEMENTS:
+        best = None
         for k in range(m):
             rolled = np.roll(curve, k)
             beta_group = s1 * curve + s3 * rolled
@@ -71,16 +97,28 @@ def reference_grid_scan(eps, resolution_deg):
             lo = beta_group.min() + gamma_group.min()
             if best is None or hi > best[0]:
                 best = (
-                    hi, 1.0, placement,
+                    hi, 1.0,
                     grid[k], grid[int(beta_group.argmax())], grid[int(gamma_group.argmax())],
                 )
             if -lo > best[0]:
                 best = (
-                    -lo, -1.0, placement,
+                    -lo, -1.0,
                     grid[k], grid[int(beta_group.argmin())], grid[int(gamma_group.argmin())],
                 )
-    value, sign, placement, alpha, beta, gamma = best
-    return value, sign * value, _canonical_setting(placement, alpha, beta, gamma)
+        scans.append(best)
+    return scans
+
+
+def reference_grid_scan(eps, resolution_deg):
+    """The four-placement grid scan with no polish, first maximum over
+    placement, then a', then +S before -S: returns (max |S|, signed S,
+    setting)."""
+    best = None
+    for placement, scan in enumerate(placement_scans(eps, resolution_deg)):
+        if best is None or scan[0] > best[1][0]:
+            best = (placement, scan)
+    placement, (value, sign, alpha, beta, gamma) = best
+    return value, sign * value, ref_setting(placement, alpha, beta, gamma)
 
 
 class TestEntangledPair:
@@ -273,30 +311,28 @@ class TestCorrelation:
 
 class TestChshValue:
     def test_quantum_optimum_settings(self):
-        s = chsh_value(TSIRELSON, ElasticSpec(1.0, 0.0))
+        s = chsh_analytic(TSIRELSON, ElasticSpec(1.0, 0.0))
         assert s == pytest.approx(2.0 * ROOT2, abs=1e-12)
 
     def test_rigid_band_reaches_four(self):
-        s = chsh_value(TSIRELSON, ElasticSpec(0.0, 0.0))
+        s = chsh_analytic(TSIRELSON, ElasticSpec(0.0, 0.0))
         assert s == 4.0
 
     def test_degenerate_settings_cannot_violate(self):
         setting = ChshSetting.from_plane_degrees(30.0, 30.0, 200.0, 200.0)
         for eps in (1.0, 0.5, 0.0):
-            s = chsh_value(setting, ElasticSpec(eps, 0.0))
+            s = chsh_analytic(setting, ElasticSpec(eps, 0.0))
             e = correlation_analytic(setting.a, setting.b, ElasticSpec(eps, 0.0))
             assert s == pytest.approx(2.0 * e, abs=1e-12)
             assert abs(s) <= 2.0
 
     def test_monte_carlo_mode(self):
-        s = chsh_value(
-            TSIRELSON, ElasticSpec(1.0, 0.0), mode="monte-carlo", n=200_000, seed=50
-        )
+        s = chsh_estimate(TSIRELSON, ElasticSpec(1.0, 0.0), 200_000, 50).value
         assert abs(s - 2.0 * ROOT2) <= 0.02
 
     def test_monte_carlo_requires_trials(self):
-        with pytest.raises(ValueError):
-            chsh_value(TSIRELSON, ElasticSpec(1.0, 0.0), mode="mc", n=0)
+        with pytest.raises(ValueError, match="at least one trial"):
+            chsh_estimate(TSIRELSON, ElasticSpec(1.0, 0.0), 0, 0)
 
     def test_estimate_reports_stderr(self):
         est = chsh_estimate(TSIRELSON, ElasticSpec(1.0, 0.0), 100_000, 51)
@@ -388,6 +424,26 @@ class TestMaxChshGridScan:
         assert opt.max_abs_s == value
         assert opt.signed_s == signed
         assert opt.setting == setting
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=2.0, max_value=60.0),
+    )
+    @example(0.9, 40.0)  # m = 9
+    @example(1.0, 8.0)  # m = 45
+    def test_one_placement_matches_four_placement_reference(self, eps, resolution_deg):
+        opt = max_chsh(ElasticSpec(eps, 0.0), resolution_deg, refine=False)
+        value, signed, setting = reference_grid_scan(eps, resolution_deg)
+        assert opt.max_abs_s == value
+        assert opt.signed_s == signed
+        assert opt.setting == setting
+
+    @pytest.mark.parametrize("resolution_deg", [1.0, 7.0, 50.0])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1 / ROOT2, 0.9, 1.0])
+    def test_every_placement_reaches_the_same_grid_maximum(self, eps, resolution_deg):
+        values = [scan[0] for scan in placement_scans(eps, resolution_deg)]
+        assert [v.hex() for v in values] == [values[0].hex()] * 4
 
     def test_peak_memory_is_bounded_at_fine_resolution(self):
         # unchunked, each (4, m, m) float64 array at m = 1440 would take 66 MB
