@@ -50,14 +50,6 @@ CHSH_COLUMNS = (
     "S_analytic", "S_mc", "stderr",
 )
 
-# Numeric config fields that must be finite: scalars, then sequences.
-_SCALAR_FIELDS = ("theta_deg", "epsilon", "d", "peak_ratio", "resolution_deg")
-_GRID_FIELDS = ("angles_deg", "theta_grid", "epsilon_grid", "d_grid")
-# Integer config fields; a bool is rejected, not taken as 0 or 1.
-_INT_FIELDS = ("trials", "seed", "workers")
-# Path config fields: a string or null, never a number taken as a file descriptor.
-_PATH_FIELDS = ("out", "density_path", "out_prefix")
-
 
 class ValidationError(ValueError):
     """Configuration rejected before any work started."""
@@ -67,12 +59,9 @@ class ValidationError(ValueError):
 class ExperimentConfig:
     """Declarative description of one experiment run.
 
-    Only the fields relevant to ``kind`` are consulted; ``validate`` checks
-    them against the owning module's preconditions before any work starts,
-    and rejects a non-finite angle, search resolution, band parameter or peak
-    ratio in any field, a ``trials``, ``seed`` or ``workers`` that is not
-    an int (or is a bool), a path that is not a string, and an ``optimize``
-    that is not a bool.
+    Only the fields relevant to ``kind`` are consulted, but ``validate``
+    checks every field against its type in ``_FIELD_TYPES`` before any work
+    starts, then the ranges of the fields ``kind`` uses.
     """
 
     kind: str
@@ -109,14 +98,11 @@ class ExperimentConfig:
         if "kind" not in data:
             raise ValidationError("config must name an experiment 'kind'")
         coerced = dict(data)
-        for key in ("theta_grid", "epsilon_grid", "d_grid", "angles_deg", "eps_values"):
-            if coerced.get(key) is not None:
-                try:
-                    if isinstance(coerced[key], (str, dict)):  # iterable, but not a list
-                        raise TypeError
-                    coerced[key] = tuple(float(x) for x in coerced[key])
-                except (TypeError, ValueError):
-                    raise ValidationError(f"{key} must be a list of numbers") from None
+        # lists become float tuples; scalars are left to ``validate``
+        for name, field_type in _FIELD_TYPES.items():
+            if field_type in (_REALS, _GRID) and coerced.get(name) is not None:
+                _check(name, coerced[name])
+                coerced[name] = tuple(float(x) for x in coerced[name])
         return cls(**coerced)
 
     def to_dict(self) -> dict:
@@ -127,75 +113,31 @@ class ExperimentConfig:
         return out
 
     def validate(self) -> None:
-        if self.kind not in _RUNNERS:
-            raise ValidationError(f"unknown experiment kind {self.kind!r}")
-        if self.kind == "selftest":
-            return
-        self._finite()
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        for name in _PATH_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ValidationError(f"{name} must be a path string or null, got {value!r}")
-        if not isinstance(self.optimize, bool):
-            raise ValidationError(f"optimize must be true or false, got {self.optimize!r}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be positive, got {self.trials}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be positive, got {self.workers}")
-        if self.output_format not in ("csv", "json"):
-            raise ValidationError(f"format must be csv or json, got {self.output_format!r}")
+        for name in _FIELD_TYPES:
+            _check(name, getattr(self, name))
         if self.kind == "spin":
             self._elastic(self.epsilon, self.d)
         elif self.kind == "sweep":
-            for name in ("theta_grid", "epsilon_grid", "d_grid"):
-                grid = getattr(self, name)
-                if grid is not None and len(grid) == 0:
-                    raise ValidationError(f"{name} must not be empty")
             for eps in self.epsilon_grid or (self.epsilon,):
                 for d in self.d_grid or (self.d,):
                     self._elastic(eps, d)
         elif self.kind == "chsh":
-            if self.chsh_mode not in ("analytic", "mc", "both"):
-                raise ValidationError(f"chsh mode must be analytic, mc or both")
             if len(self.angles_deg) != 4:
                 raise ValidationError("chsh needs exactly four setting angles")
-            if not self.resolution_deg >= MIN_RESOLUTION_DEG:
+            if self.resolution_deg < MIN_RESOLUTION_DEG:
                 raise ValidationError(f"resolution must be at least {MIN_RESOLUTION_DEG} degrees")
             for eps in self.epsilon_grid or (self.epsilon,):
                 self._elastic(eps, 0.0)
         elif self.kind == "climit":
             if (self.density_path is None) == (self.fixture is None):
                 raise ValidationError("climit needs exactly one of density_path or fixture")
-            if self.fixture is not None and self.fixture != "gaussian":
-                raise ValidationError(f"unknown fixture {self.fixture!r}")
             self._eps_values()
         elif self.kind == "doubleslit":
             if self.peak_ratio < 1.0:
                 raise ValidationError(f"peak ratio must be >= 1, got {self.peak_ratio}")
             self._eps_values()
 
-    def _finite(self) -> None:
-        """Reject NaN, infinite and non-numeric angles, band parameters and ratio."""
-        values = [(name, getattr(self, name)) for name in _SCALAR_FIELDS]
-        for name in _GRID_FIELDS:
-            values += [(name, x) for x in getattr(self, name) or ()]
-        for name, value in values:
-            try:
-                finite = math.isfinite(value)
-            except TypeError:
-                finite = False
-            if not finite:
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
-
     def _eps_values(self) -> None:
-        if not self.eps_values:
-            raise ValidationError("eps_values must not be empty")
         for eps in self.eps_values:
             if not 0.0 < eps <= 1.0:
                 raise ValidationError(f"cut eps must be in (0, 1], got {eps}")
@@ -457,6 +399,55 @@ _RUNNERS = {
     "doubleslit": _run_doubleslit,
     "selftest": _run_selftest,
 }
+
+
+def _is_real(x) -> bool:
+    """A finite float or int, never a bool: an int beyond the float range is not finite."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return type(x) is int and abs(x) <= sys.float_info.max
+
+
+def _is_reals(x) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) > 0 and all(map(_is_real, x))
+
+
+def _int_from(low: int):
+    return f"an integer >= {low}", lambda x: type(x) is int and x >= low
+
+
+def _one_of(*choices):
+    return "one of " + ", ".join(map(repr, choices)), lambda x: x in choices
+
+
+# Field types as (what the error message asks for, test of a value).
+_REAL = ("a finite number", _is_real)
+_REALS = ("a non-empty list of finite numbers", _is_reals)
+_GRID = ("null or a non-empty list of finite numbers", lambda x: x is None or _is_reals(x))
+_PATH = ("a path string or null", lambda x: x is None or isinstance(x, str))
+_BOOL = ("true or false", lambda x: isinstance(x, bool))
+
+# Every ExperimentConfig field, in declaration order; ``validate`` checks them all.
+# It follows ``_RUNNERS``, whose keys are the kinds.
+_FIELD_TYPES = {
+    "kind": _one_of(*_RUNNERS), "theta_deg": _REAL, "epsilon": _REAL, "d": _REAL,
+    "trials": _int_from(1), "seed": _int_from(0), "workers": _int_from(1),
+    "out": _PATH, "output_format": _one_of("csv", "json"),
+    # sweep
+    "theta_grid": _GRID, "epsilon_grid": _GRID, "d_grid": _GRID,
+    # chsh
+    "angles_deg": _REALS, "chsh_mode": _one_of("analytic", "mc", "both"),
+    "optimize": _BOOL, "resolution_deg": _REAL,
+    # climit / doubleslit
+    "density_path": _PATH, "fixture": _one_of(None, "gaussian"),
+    "eps_values": _REALS, "out_prefix": _PATH, "peak_ratio": _REAL,
+}
+
+
+def _check(name: str, value) -> None:
+    want, fits = _FIELD_TYPES[name]
+    if not fits(value):
+        raise ValidationError(f"{name} must be {want}, got {value!r}")
 
 
 def run(config: ExperimentConfig) -> int:

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qmachine.cli import main
+from qmachine.cli import build_parser, config_from_args, main
+from qmachine.harness import ExperimentConfig, ValidationError, run
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_spin.csv")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -233,10 +239,25 @@ class TestValidationFailures:
             ("climit", {"out_prefix": ["a"]}),
             ("chsh", {"optimize": "false"}),
             ("chsh", {"optimize": 1}),
+            ("spin", {"epsilon": True}),
+            ("spin", {"theta_deg": True}),
+            ("selftest", {"trials": "x", "workers": True}),
+            ("sweep", {"theta_grid": ["60"]}),
+            ("sweep", {"theta_grid": [True, 60]}),
+            ("climit", {"eps_values": [True]}),
+            ("climit", {"eps_values": ["0.5"]}),
+            ("spin", {"theta_deg": 10**400}),
+            ("sweep", {"theta_grid": [10**400]}),
+            ("chsh", {"angles_deg": None}),
+            ("chsh", {"epsilon_grid": []}),
         ],
         ids=["grid-str-item", "grid-int", "angles-null-item", "resolution-str",
              "grid-str", "angles-str", "out-bool", "out-int", "density-path-int",
-             "out-prefix-list", "optimize-str", "optimize-int"],
+             "out-prefix-list", "optimize-str", "optimize-int", "epsilon-bool",
+             "theta-bool", "selftest-trials-str", "grid-numeric-str-item",
+             "grid-bool-item", "eps-values-bool-item", "eps-values-str-item",
+             "theta-int-overflows-float", "grid-int-overflows-float", "angles-null",
+             "chsh-grid-empty"],
     )
     def test_malformed_config_number_exits_2_with_json_error(
         self, kind, fields, tmp_path, capsys
@@ -278,3 +299,79 @@ class TestValidationFailures:
         err = json.loads(captured.err)
         assert err["error"] == "validation"
         assert "resolution" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv", [("spin", "--theta-deg", "nan"), ("spin", "--epsilon", "2")],
+        ids=["theta-nan", "epsilon-2"],
+    )
+    def test_parsing_leaves_scalar_checks_to_run(self, argv):
+        # parsing alone must not raise: the benchmark times it on these argvs
+        config = config_from_args(build_parser().parse_args(argv))
+        with pytest.raises(ValidationError):
+            run(config)
+
+
+# Arbitrary JSON field values, lists kept at three entries or fewer.  Strings
+# draw from digits, signs and the letters of nan, inf and true, so that some
+# look like numbers.
+TEXT = st.text("0159.e-+nafitru", max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.floats(0, 1)
+    | st.sampled_from([1e308, -1e308]) | TEXT
+    | st.sampled_from(["csv", "json", "analytic", "mc", "both", "gaussian"]),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(st.floats(0, 1), min_size=1, max_size=3)
+    | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+NON_INTS = JSON_VALUES.filter(lambda v: type(v) is not int)
+NON_STRINGS = JSON_VALUES.filter(lambda v: not isinstance(v, str))
+# Bounded where a valid draw could start a large run; path fields name a
+# file in the working directory (density.csv is a valid density).
+FIELD_VALUES = {
+    f.name: JSON_VALUES for f in fields(ExperimentConfig) if f.name != "kind"
+} | {
+    "trials": NON_INTS | st.integers(1, 2000),
+    "workers": NON_INTS | st.integers(1, 3),
+    "resolution_deg": JSON_VALUES.filter(lambda v: not isinstance(v, float))
+    | st.floats(min_value=1),
+    "out": NON_STRINGS | st.just("out.txt"),
+    "density_path": NON_STRINGS | st.just("density.csv"),
+    "out_prefix": NON_STRINGS | st.just("prefix"),
+}
+# trials always, so that no draw runs the default million; up to three more fields
+CONFIGS = st.lists(
+    st.sampled_from(sorted(set(FIELD_VALUES) - {"trials"})), unique=True, max_size=3
+).flatmap(
+    lambda names: st.fixed_dictionaries({n: FIELD_VALUES[n] for n in ["trials", *names]})
+)
+KINDS = ("spin", "sweep", "chsh", "climit", "doubleslit", "selftest")
+PARSER = build_parser()
+
+
+class TestExitCodeContract:
+    @settings(
+        max_examples=120, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(kind=st.sampled_from(KINDS), config=CONFIGS)
+    def test_any_json_config_lands_on_a_documented_exit_code(
+        self, kind, config, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "density.csv").write_text("x,value\n0,1\n1,2\n2,1\n")
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [kind, "--config", "cfg.json"]
+        try:
+            config_from_args(PARSER.parse_args(argv)).validate()
+            valid = True
+        except ValidationError:
+            valid = False
+        if kind == "selftest":
+            return  # the battery is not run here
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+        assert rc in (0, 2, 3, 4)
+        if not valid:
+            assert rc == 2
+            assert out.getvalue() == ""

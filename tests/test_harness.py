@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from qmachine.analytic import ProbabilityPair
 from qmachine.epr import MIN_RESOLUTION_DEG
 from qmachine.harness import (
+    _FIELD_TYPES,
     CHSH_COLUMNS,
     EXIT_OK,
     SPIN_COLUMNS,
@@ -75,7 +77,9 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "fields",
         [{"theta_grid": ["a"]}, {"theta_grid": 5}, {"angles_deg": [0, None, 1, 2]},
-         {"theta_grid": "60"}, {"angles_deg": "1234"}, {"theta_grid": {"60": 1}}],
+         {"theta_grid": "60"}, {"angles_deg": "1234"}, {"theta_grid": {"60": 1}},
+         {"theta_grid": ["60"]}, {"theta_grid": [True, 60]}, {"eps_values": [True]},
+         {"eps_values": ["0.5"]}, {"theta_grid": [10**400]}],
     )
     def test_rejects_non_numeric_sequence(self, fields):
         with pytest.raises(ValidationError):
@@ -121,6 +125,17 @@ class TestExperimentConfig:
             ExperimentConfig(kind="chsh", resolution_deg=1e-300),
             ExperimentConfig(kind="chsh", resolution_deg=1e-6),
             ExperimentConfig(kind="chsh", resolution_deg=0.01),
+            ExperimentConfig(kind="spin", epsilon=True),
+            ExperimentConfig(kind="spin", theta_deg=True),
+            ExperimentConfig(kind="selftest", trials="x", workers=True),
+            ExperimentConfig(kind="sweep", theta_grid=("60",)),
+            ExperimentConfig(kind="sweep", theta_grid=(True, 60)),
+            ExperimentConfig(kind="climit", fixture="gaussian", eps_values=(True,)),
+            ExperimentConfig(kind="climit", fixture="gaussian", eps_values=("0.5",)),
+            ExperimentConfig(kind="spin", theta_deg=10**400),
+            ExperimentConfig(kind="sweep", theta_grid=(10**400,)),
+            ExperimentConfig(kind="chsh", angles_deg=None),
+            ExperimentConfig(kind="chsh", epsilon_grid=()),
         ],
     )
     def test_validation_rejects(self, config):
@@ -131,6 +146,9 @@ class TestExperimentConfig:
         for kind in ("spin", "sweep", "chsh", "doubleslit", "selftest"):
             ExperimentConfig(kind=kind).validate()
         ExperimentConfig(kind="climit", fixture="gaussian").validate()
+
+    def test_field_table_covers_every_field(self):
+        assert set(_FIELD_TYPES) == {f.name for f in fields(ExperimentConfig)}
 
     def test_validation_accepts_the_finest_resolution(self):
         ExperimentConfig(kind="chsh", resolution_deg=MIN_RESOLUTION_DEG).validate()
