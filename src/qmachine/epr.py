@@ -103,6 +103,16 @@ class ChshSetting:
             plane_direction(math.radians(b_prime)),
         )
 
+    @property
+    def pairs(self) -> tuple[tuple[Direction, Direction], ...]:
+        """The (left, right) axes of the terms E(a,b), E(a,b'), E(a',b), E(a',b')."""
+        return (
+            (self.a, self.b),
+            (self.a, self.b_prime),
+            (self.a_prime, self.b),
+            (self.a_prime, self.b_prime),
+        )
+
 
 def _wing_bands(elastic: ElasticSpec, left_elastic, order: str):
     """The bands of the wing measured first and of its partner.
@@ -177,14 +187,12 @@ def joint_counts(
 
     def run_block(rs: RandomStream, m: int):
         first_up = _resolve(_snap_points(rs, first_el, m), 0.0, rs)
-        # the partner sits at the antipode of the first wing's landing point
-        t2 = np.where(first_up, -t_ab, t_ab)
-        second_up = _resolve(_snap_points(rs, second_el, m), t2, rs)
+        # the partner sits at the antipode of the first wing's landing point:
+        # axis coordinate -t_ab after an up outcome, t_ab after a down one
+        second_up = _resolve(_snap_points(rs, second_el, m), t_ab, rs, flip=first_up)
         a_up, b_up = (first_up, second_up) if order == "left" else (second_up, first_up)
         pp = int(np.count_nonzero(a_up & b_up))
-        pm = int(np.count_nonzero(a_up & ~b_up))
-        mp = int(np.count_nonzero(~a_up & b_up))
-        return pp, pm, mp
+        return pp, int(np.count_nonzero(a_up)) - pp, int(np.count_nonzero(b_up)) - pp
 
     pp, pm, mp = map(sum, zip(*_map_blocks(run_block, n, seed, workers)))
     return {
@@ -237,12 +245,16 @@ class ChshEstimate:
 
 def chsh_analytic(setting: ChshSetting, elastic: ElasticSpec) -> float:
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b') from the closed form."""
-    return (
-        correlation_analytic(setting.a, setting.b, elastic)
-        + correlation_analytic(setting.a, setting.b_prime, elastic)
-        + correlation_analytic(setting.a_prime, setting.b, elastic)
-        - correlation_analytic(setting.a_prime, setting.b_prime, elastic)
-    )
+    e1, e2, e3, e4 = (correlation_analytic(x, y, elastic) for x, y in setting.pairs)
+    return e1 + e2 + e3 - e4
+
+
+def chsh_sigma(setting: ChshSetting, elastic: ElasticSpec, n: int) -> float:
+    """Standard deviation of a Monte Carlo S with ``n`` pairs per term, from
+    the closed-form terms; unlike the sample stderr it is not 0 when every
+    pair of a term happens to agree."""
+    terms = (correlation_analytic(x, y, elastic) for x, y in setting.pairs)
+    return math.sqrt(sum((1.0 - e * e) / n for e in terms))
 
 
 def chsh_estimate(
@@ -252,15 +264,9 @@ def chsh_estimate(
     if n < 1:
         raise ValueError(f"need at least one trial per term, got {n}")
     root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
-    pairs = (
-        (setting.a, setting.b),
-        (setting.a, setting.b_prime),
-        (setting.a_prime, setting.b),
-        (setting.a_prime, setting.b_prime),
-    )
     est = tuple(
         correlation_mc(x, y, elastic, n, root.substream(k), workers)
-        for k, (x, y) in enumerate(pairs)
+        for k, (x, y) in enumerate(setting.pairs)
     )
     value = est[0] + est[1] + est[2] - est[3]
     stderr = math.sqrt(sum((1.0 - e * e) / n for e in est))
@@ -292,7 +298,7 @@ def max_chsh(
     Grid search at ``resolution_deg`` over the three free angles (a is pinned
     at 0 by rotational symmetry), exploiting that for a fixed a' the b and b'
     angles maximize independently; optionally polished by a Nelder-Mead local
-    search.
+    search and then compared with the Tsirelson setting, which wins ties.
 
     Only the canonical sign placement, minus on (a', b'), is scanned.  The
     other three are exact relabelings of the same grid: minus on (a', b) is
@@ -359,6 +365,17 @@ def max_chsh(
         if -res.fun > value:
             value = -res.fun
             alpha, beta, gamma = (float(x) for x in res.x)
+
+    if refine:
+        # The Tsirelson setting attains min(4, 2*sqrt(2)/eps) exactly
+        # (Cirel'son 1980), scored from its own axes.  A grid maximum is read
+        # off ``curve``, where cos(90 deg) rounds to +6e-17: at an eps small
+        # enough to clamp it, that residue can score a sign the setting's own
+        # axes do not give.  Ties go to the Tsirelson setting.
+        tsirelson = ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG)
+        s_t = chsh_analytic(tsirelson, elastic)
+        if abs(s_t) >= value:
+            return ChshOptimum(abs(s_t), s_t, tsirelson)
 
     setting = ChshSetting(
         plane_direction(0.0), plane_direction(alpha), plane_direction(beta), plane_direction(gamma)

@@ -29,6 +29,7 @@ from .epr import (
     ChshSetting,
     chsh_analytic,
     chsh_estimate,
+    chsh_sigma,
     max_chsh,
 )
 from .geometry import Direction, ElasticSpec, Outcome
@@ -322,7 +323,10 @@ def _run_chsh(config: ExperimentConfig) -> int:
                 setting, elastic, config.trials, root.substream(index), config.workers
             )
             s_mc, stderr = est.value, est.stderr
-            if abs(s_mc - s_analytic) > 5.0 * max(stderr, 1e-15):
+            # sigma of the exact terms: the sample stderr is 0 at small n
+            # whenever every pair of each term agrees
+            sigma = chsh_sigma(setting, elastic, config.trials)
+            if abs(s_mc - s_analytic) > 5.0 * max(sigma, 1e-15):
                 all_ok = False
         rows.append({
             "epsilon": eps,

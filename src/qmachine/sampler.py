@@ -264,14 +264,21 @@ def _snap_points(rs: RandomStream, elastic: ElasticSpec, m: int) -> np.ndarray:
     return rs.uniform(elastic.break_lower, elastic.break_upper, m)
 
 
-def _resolve(lam: np.ndarray, t, rs: RandomStream) -> np.ndarray:
+def _resolve(lam: np.ndarray, t, rs: RandomStream, flip=None) -> np.ndarray:
     """Vectorized outcome rule with fair-coin ties; True means O1.
 
-    ``t`` is a scalar or an array of axis coordinates.  One coin is drawn
-    from ``rs`` per exact tie, in index order, and only when ties occur.
+    ``t`` is a scalar or an array of axis coordinates; where the optional
+    bool mask ``flip`` is set, the coordinate is ``-t`` instead.  One coin
+    is drawn from ``rs`` per exact tie, in index order, and only when ties
+    occur.
     """
     up = lam < t
-    ties = np.flatnonzero(lam == t)
+    tie = lam == t
+    if flip is not None:
+        # np.where(flip, -t, t) as bit algebra: no per-trial coordinate array
+        up ^= (up ^ (lam < -t)) & flip
+        tie ^= (tie ^ (lam == -t)) & flip
+    ties = np.flatnonzero(tie)
     if ties.size:
         up[ties] = rs.random(ties.size) < 0.5
     return up

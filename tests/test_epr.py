@@ -23,9 +23,16 @@ from qmachine.epr import (
     severed_chsh_scan,
     severed_correlation_mc,
 )
-from qmachine.epr import _corr_curve
-from qmachine.geometry import Direction, ElasticSpec, Outcome
-from qmachine.sampler import BLOCK_SIZE, RandomStream, run_trials
+from qmachine.epr import _corr_curve, _wing_bands
+from qmachine.geometry import Direction, ElasticSpec, Outcome, axis_coordinate
+from qmachine.sampler import (
+    BLOCK_SIZE,
+    RandomStream,
+    _map_blocks,
+    _resolve,
+    _snap_points,
+    run_trials,
+)
 
 Z = Direction(0.0, 0.0, 1.0)
 ROOT2 = math.sqrt(2.0)
@@ -341,6 +348,9 @@ class TestChshValue:
         assert abs(est.value - 2.0 * ROOT2) <= 5.0 * est.stderr
 
 
+CHSH_RESOLUTIONS = (0.5, 1.0, 7.0, 42.5, 45.0, 50.0, 60.0)
+
+
 class TestMaxChsh:
     # Frozen from the brute-force oracle: the optimum is min(4, 2*sqrt(2)/eps),
     # flat at 4 up to eps = 1/sqrt(2).
@@ -369,6 +379,22 @@ class TestMaxChsh:
             s = chsh_analytic(opt.setting, ElasticSpec(eps, 0.0))
             assert abs(s) == pytest.approx(opt.max_abs_s, abs=1e-9)
             assert s == pytest.approx(opt.signed_s, abs=1e-9)
+
+    # eps = 0 and eps small enough to clamp every term: a grid maximum read
+    # off the cos(90 deg) residue can score 4 where the setting gives 2 or 3
+    @pytest.mark.parametrize("resolution_deg", CHSH_RESOLUTIONS)
+    @pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-300, 1e-17])
+    def test_reported_setting_scores_its_value(self, eps, resolution_deg):
+        band = ElasticSpec(eps, 0.0)
+        opt = max_chsh(band, resolution_deg)
+        assert abs(chsh_analytic(opt.setting, band) - opt.signed_s) <= 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0), st.sampled_from(CHSH_RESOLUTIONS))
+    def test_reported_setting_scores_its_value_at_any_eps(self, eps, resolution_deg):
+        band = ElasticSpec(eps, 0.0)
+        opt = max_chsh(band, resolution_deg)
+        assert abs(chsh_analytic(opt.setting, band) - opt.signed_s) <= 1e-9
 
     def test_plateau_boundary(self):
         below = max_chsh(ElasticSpec(0.70, 0.0)).max_abs_s
@@ -506,6 +532,57 @@ SEVERED_PINS = {
     "eps0-d0.3": (ElasticSpec(0.0, 0.3), 70, 0.08635250497791408),
     "eps0.5-d-0.2": (ElasticSpec(0.5, -0.2), 71, 0.04343182355678637),
 }
+
+
+def where_joint_counts(a, b, elastic, n, seed, workers=1, left_elastic=None, order="left"):
+    """joint_counts in its first form: the partner's axis coordinate built per
+    pair with np.where, and every cell counted from its own mask."""
+    first_el, second_el = _wing_bands(elastic, left_elastic, order)
+    t_ab = axis_coordinate(a, b)
+
+    def run_block(rs, m):
+        first_up = _resolve(_snap_points(rs, first_el, m), 0.0, rs)
+        t2 = np.where(first_up, -t_ab, t_ab)
+        second_up = _resolve(_snap_points(rs, second_el, m), t2, rs)
+        a_up, b_up = (first_up, second_up) if order == "left" else (second_up, first_up)
+        return tuple(
+            int(np.count_nonzero(x & y))
+            for x, y in ((a_up, b_up), (a_up, ~b_up), (~a_up, b_up), (~a_up, ~b_up))
+        )
+
+    cells = map(sum, zip(*_map_blocks(run_block, n, seed, workers)))
+    return dict(zip(((O1, O1), (O1, O2), (O2, O1), (O2, O2)), cells))
+
+
+# (a, b, right band, left band or None, orders)
+WHERE_CASES = {
+    # a.b = 0 exactly: at eps = 0 every partner trial ties at -0.0 or +0.0
+    "exact-partner-ties": (Z, Direction(1.0, 0.0, 0.0), ElasticSpec(0.0, 0.0), None,
+                           ("left", "right")),
+    "eps0": (plane_direction(0.4), plane_direction(1.9), ElasticSpec(0.0, 0.0), None,
+             ("left", "right")),
+    "eps0.3": (plane_direction(0.4), plane_direction(1.9), ElasticSpec(0.3, 0.0), None,
+               ("left", "right")),
+    "eps1-same-axis": (Z, Z, ElasticSpec(1.0, 0.0), None, ("left", "right")),
+    "biased-right-band": (plane_direction(0.4), plane_direction(1.9), ElasticSpec(0.5, 0.2),
+                          ElasticSpec(0.5, 0.0), ("left",)),
+    # the partner ties at d = 0.3 whenever it lands at -a.b = 0.3
+    "rigid-biased-tie": (Z, Direction.from_spherical(math.acos(-0.3)), ElasticSpec(0.0, 0.3),
+                         ElasticSpec(0.0, 0.0), ("left",)),
+}
+
+
+class TestJointCountsReference:
+    @pytest.mark.parametrize("n", (1, BLOCK_SIZE, 2 * BLOCK_SIZE + 7))
+    @pytest.mark.parametrize("case", WHERE_CASES)
+    def test_matches_where_form(self, case, n):
+        a, b, band, left, orders = WHERE_CASES[case]
+        for order in orders:
+            expected = where_joint_counts(a, b, band, n, 80 + n, left_elastic=left, order=order)
+            for workers in (1, 2, 3):
+                assert joint_counts(
+                    a, b, band, n, 80 + n, workers=workers, left_elastic=left, order=order
+                ) == expected, (order, workers)
 
 
 class TestBlockKernelPins:

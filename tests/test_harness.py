@@ -6,11 +6,21 @@ from dataclasses import fields
 import pytest
 
 from qmachine.analytic import ProbabilityPair
-from qmachine.epr import MIN_RESOLUTION_DEG
+import qmachine.harness
+from qmachine.epr import (
+    MIN_RESOLUTION_DEG,
+    TSIRELSON_ANGLES_DEG,
+    ChshEstimate,
+    ChshSetting,
+    chsh_analytic,
+    chsh_sigma,
+)
+from qmachine.geometry import ElasticSpec
 from qmachine.harness import (
     _FIELD_TYPES,
     CHSH_COLUMNS,
     EXIT_OK,
+    EXIT_RUNTIME,
     SPIN_COLUMNS,
     ExperimentConfig,
     StatReport,
@@ -236,6 +246,31 @@ class TestRunChsh:
         s_mc = float(rows[0]["S_mc"])
         assert abs(s_mc - 2.0 * math.sqrt(2.0)) <= 0.05
         assert float(rows[0]["stderr"]) > 0.0
+
+    # every pair of a term agrees at n = 1, and often at n = 2, so the
+    # sample stderr is 0; the 5-sigma test uses the exact terms' sigma
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_tiny_trial_counts_pass(self, tmp_path, trials, seed):
+        out = tmp_path / "chsh.csv"
+        config = ExperimentConfig(kind="chsh", trials=trials, seed=seed, out=str(out))
+        assert run(config) == EXIT_OK
+        _, rows = read_csv(out)
+        if trials == 1:
+            assert rows[0]["stderr"] == "0"
+
+    @pytest.mark.parametrize("sigmas,code", [(10.0, EXIT_RUNTIME), (4.9, EXIT_OK)])
+    def test_five_sigma_bound(self, tmp_path, monkeypatch, sigmas, code):
+        band = ElasticSpec(1.0, 0.0)
+        setting = ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG)
+        off = chsh_analytic(setting, band) + sigmas * chsh_sigma(setting, band, 100)
+
+        def estimate(*args):
+            return ChshEstimate(off, 0.0, (0.0, 0.0, 0.0, 0.0))
+
+        monkeypatch.setattr(qmachine.harness, "chsh_estimate", estimate)
+        config = ExperimentConfig(kind="chsh", trials=100, out=str(tmp_path / "chsh.csv"))
+        assert run(config) == code
 
     def test_optimized_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -362,3 +362,43 @@ class TestTieRule:
         assert scalar_up == _resolve(np.array([break_point]), t, vector_rs)[0]
         # both consumed the same draws: one coin at a tie, none otherwise
         assert scalar_rs.random() == vector_rs.random()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t=st.floats(min_value=-1.0, max_value=1.0),
+        break_point=st.floats(min_value=-1.0, max_value=1.0),
+        tie=st.booleans(),
+        flip=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_scalar_rule_matches_flipped_rule(self, t, break_point, tie, flip, seed):
+        coordinate = -t if flip else t
+        if tie:
+            break_point = coordinate
+        scalar_rs, vector_rs = RandomStream(seed), RandomStream(seed)
+        scalar_up = outcome_at_axis(coordinate, break_point, scalar_rs) is Outcome.O1
+        vector_up = _resolve(np.array([break_point]), t, vector_rs, flip=np.array([flip]))
+        assert scalar_up == vector_up[0]
+        assert scalar_rs.random() == vector_rs.random()
+
+    # ties at +t and at -t, flipped or not, mixed in one array: the flip mask
+    # must resolve, and draw its coins, exactly like the coordinate array
+    @settings(max_examples=100, deadline=None)
+    @given(
+        t=st.floats(min_value=-1.0, max_value=1.0),
+        cells=st.lists(
+            st.tuples(st.sampled_from(("t", "-t", "0", "other")), st.booleans()),
+            min_size=1, max_size=40,
+        ),
+        other=st.floats(min_value=-1.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_flip_mask_matches_coordinate_array(self, t, cells, other, seed):
+        value = {"t": t, "-t": -t, "0": 0.0, "other": other}
+        lam = np.array([value[c] for c, _ in cells])
+        flip = np.array([f for _, f in cells])
+        mask_rs, array_rs = RandomStream(seed), RandomStream(seed)
+        by_mask = _resolve(lam, t, mask_rs, flip=flip)
+        by_array = _resolve(lam, np.where(flip, -t, t), array_rs)
+        assert np.array_equal(by_mask, by_array)
+        assert mask_rs.random() == array_rs.random()
