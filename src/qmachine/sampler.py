@@ -7,6 +7,9 @@ numpy's counter-based Philox generator keyed by ``(seed, spawn_key)`` via
 ``SeedSequence``.  ``substream(i)`` appends ``i`` to the spawn key, which
 yields statistically independent child streams that are reproducible across
 platforms, numpy releases with the same bit generator, and worker counts.
+A stream builds its generator at its first draw, so a root that only hands
+out substreams never builds one; ``substream`` never touches the parent's
+generator, so the threads of :func:`_map_blocks` call it on a shared root.
 
 Bulk runs partition trials into fixed-size blocks; block ``j`` draws from
 ``substream(j)`` only.  One dispatcher, :func:`_map_blocks`, runs the blocks
@@ -32,9 +35,12 @@ BLOCK_SIZE = 1 << 16
 class RandomStream:
     """Deterministic pseudo-random source, splittable into substreams.
 
-    Identified by a non-negative integer seed plus a tuple spawn key; the
-    same (seed, key) always reproduces the same draw sequence.  A stream is
-    not safe to share between concurrent tasks, but distinct substreams are.
+    Identified by a non-negative integer seed plus a tuple of non-negative
+    spawn-key entries, both checked here; the same (seed, key) always
+    reproduces the same draw sequence.  The Philox generator is built at the
+    first draw, so a stream that only hands out substreams costs a handle.
+    Concurrent tasks must not draw from one stream, but they may draw from
+    distinct substreams and call ``substream`` on a shared parent.
     """
 
     __slots__ = ("seed", "spawn_key", "_gen")
@@ -43,10 +49,18 @@ class RandomStream:
         seed = int(seed)
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
+        spawn_key = tuple(int(k) for k in spawn_key)
+        if any(k < 0 for k in spawn_key):
+            raise ValueError(f"spawn key entries must be non-negative, got {spawn_key}")
         self.seed = seed
-        self.spawn_key = tuple(int(k) for k in spawn_key)
-        seq = np.random.SeedSequence(seed, spawn_key=self.spawn_key)
-        self._gen = np.random.Generator(np.random.Philox(seq))
+        self.spawn_key = spawn_key
+        self._gen = None
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
+            self._gen = np.random.Generator(np.random.Philox(seq))
+        return self._gen
 
     def substream(self, index: int) -> "RandomStream":
         """Independent child stream number ``index``."""
@@ -54,15 +68,15 @@ class RandomStream:
 
     def random(self, size=None):
         """Uniform doubles on [0, 1)."""
-        return self._gen.random(size)
+        return self._generator().random(size)
 
     def uniform(self, low: float, high: float, size=None):
         """Uniform doubles on [low, high)."""
-        return self._gen.uniform(low, high, size)
+        return self._generator().uniform(low, high, size)
 
     def coin(self) -> bool:
         """Single fair coin flip."""
-        return bool(self._gen.random() < 0.5)
+        return bool(self._generator().random() < 0.5)
 
 
 @dataclass(frozen=True)
@@ -278,9 +292,9 @@ def _resolve(lam: np.ndarray, t, rs: RandomStream, flip=None) -> np.ndarray:
         # np.where(flip, -t, t) as bit algebra: no per-trial coordinate array
         up ^= (up ^ (lam < -t)) & flip
         tie ^= (tie ^ (lam == -t)) & flip
-    ties = np.flatnonzero(tie)
-    if ties.size:
-        up[ties] = rs.random(ties.size) < 0.5
+    k = np.count_nonzero(tie)
+    if k:
+        up[tie] = rs.random(k) < 0.5
     return up
 
 

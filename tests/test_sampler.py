@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmachine.analytic import epsilon_probabilities
+from qmachine.epr import joint_counts, plane_direction, severed_chsh_scan
 from qmachine.geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordinate
 from qmachine.sampler import (
     BLOCK_SIZE,
@@ -29,6 +30,28 @@ Z = Direction(0.0, 0.0, 1.0)
 
 def direction_at(t):
     return Direction(math.sqrt(max(0.0, 1.0 - t * t)), 0.0, t)
+
+
+def eager_generator(seed, key=()):
+    """The generator a stream keyed (seed, key) must draw from, built at once."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def stream_at(seed, key):
+    """``RandomStream(seed)`` followed down ``key`` by ``substream`` calls."""
+    rs = RandomStream(seed)
+    for index in key:
+        rs = rs.substream(index)
+    return rs
+
+
+def draw_both(rs, gen, kind, size):
+    """The same draw from a stream and from its eager reference."""
+    if kind == "random":
+        return rs.random(size), gen.random(size)
+    if kind == "uniform":
+        return rs.uniform(-0.3, 0.7, size), gen.uniform(-0.3, 0.7, size)
+    return rs.coin(), bool(gen.random() < 0.5)
 
 
 class TestRandomStream:
@@ -56,6 +79,55 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(-1)
 
+    def test_rejects_negative_spawn_key_entry_before_any_draw(self):
+        with pytest.raises(ValueError):
+            RandomStream(5, spawn_key=(-1,))
+        with pytest.raises(ValueError):
+            RandomStream(5, spawn_key=(3, -2))
+        with pytest.raises(ValueError):
+            RandomStream(5).substream(-1)
+        with pytest.raises(ValueError):
+            RandomStream(5).substream(2).substream(-1)
+
+    @pytest.mark.parametrize("key", [(), (0,), (3,), (1, 2), (7, 0, 65), (2**40,)])
+    def test_draws_match_eager_reference(self, key):
+        rs, gen = stream_at(2024, key), eager_generator(2024, key)
+        for kind, size in (("random", 5), ("uniform", 9), ("coin", None), ("random", None)):
+            mine, reference = draw_both(rs, gen, kind, size)
+            assert np.array_equal(mine, reference)
+
+    def test_root_draws_after_handing_out_substreams(self):
+        root = RandomStream(77)
+        children = [root.substream(j) for j in range(3)]
+        grandchild = children[1].substream(4)
+        reference = eager_generator(77)
+        assert np.array_equal(root.random(8), reference.random(8))
+        # a child handed out after the root drew is still keyed by its path
+        late = root.substream(5)
+        assert np.array_equal(root.uniform(0.0, 2.0, 3), reference.uniform(0.0, 2.0, 3))
+        assert np.array_equal(grandchild.random(8), eager_generator(77, (1, 4)).random(8))
+        assert np.array_equal(late.random(8), eager_generator(77, (5,)).random(8))
+        assert np.array_equal(children[0].random(8), eager_generator(77, (0,)).random(8))
+        assert root.coin() == bool(reference.random() < 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        key=st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=3),
+        handed_out=st.integers(min_value=0, max_value=3),
+        draws=st.lists(
+            st.tuples(st.sampled_from(("random", "uniform", "coin")), st.integers(0, 40)),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_draw_sequence_matches_eager_reference(self, seed, key, handed_out, draws):
+        rs, gen = stream_at(seed, key), eager_generator(seed, tuple(key))
+        for index in range(handed_out):
+            rs.substream(index)
+        for kind, size in draws:
+            mine, reference = draw_both(rs, gen, kind, size)
+            assert np.array_equal(mine, reference)
+
     def test_uniformity(self):
         # 20-bin chi-square on 1e6 doubles; df = 19, 43.8 is the 99.9% point
         draws = RandomStream(55).random(1_000_000)
@@ -63,6 +135,47 @@ class TestRandomStream:
         expected = len(draws) / 20
         stat = ((counts - expected) ** 2 / expected).sum()
         assert stat < 43.8
+
+
+class TestGeneratorBuilds:
+    """A stream builds its Philox generator at its first draw, so a root that
+    only hands out block substreams builds none."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            count[0] += 1
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        return count
+
+    def test_handles_build_nothing(self, builds):
+        root = RandomStream(3)
+        root.substream(1).substream(2)
+        assert builds[0] == 0
+        root.random(2)
+        root.coin()
+        assert builds[0] == 1
+
+    @pytest.mark.parametrize("n, expected", [(1000, 1), (2 * BLOCK_SIZE + 7, 3)])
+    def test_run_trials_builds_one_per_block(self, builds, n, expected):
+        run_trials(direction_at(0.5), Z, ElasticSpec(1.0, 0.0), n, 5)
+        assert builds[0] == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_joint_counts_builds_one_per_block(self, builds, workers):
+        a, b = plane_direction(0.0), plane_direction(1.0)
+        joint_counts(a, b, ElasticSpec(1.0, 0.0), 2 * BLOCK_SIZE + 7, RandomStream(9), workers)
+        assert builds[0] == 3
+
+    def test_severed_scan_builds_one_per_block(self, builds):
+        # 2 x 2 correlation estimates of 2 blocks each
+        severed_chsh_scan(ElasticSpec(1.0, 0.0), angles_count=2, n=BLOCK_SIZE + 1)
+        assert builds[0] == 8
 
 
 class TestSampleBreakPoint:
