@@ -36,8 +36,12 @@ from .analytic import _clamp_law
 from .geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordinate
 from .sampler import (
     RandomStream,
+    _cut,
+    _draws,
     _map_blocks,
     _resolve,
+    _resolve_cut,
+    _scaled,
     _snap_points,
     measure,
     outcome_at_axis,
@@ -184,12 +188,16 @@ def joint_counts(
     """
     first_el, second_el = _wing_bands(elastic, left_elastic, order)
     t_ab = axis_coordinate(a, b)
+    first_cut = _cut(first_el, 0.0)
+    # the partner sits at the antipode of the first wing's landing point:
+    # axis coordinate -t_ab after an up outcome, t_ab after a down one
+    second_cut, flipped_cut = _cut(second_el, t_ab), _cut(second_el, -t_ab)
 
     def run_block(rs: RandomStream, m: int):
-        first_up = _resolve(_snap_points(rs, first_el, m), 0.0, rs)
-        # the partner sits at the antipode of the first wing's landing point:
-        # axis coordinate -t_ab after an up outcome, t_ab after a down one
-        second_up = _resolve(_snap_points(rs, second_el, m), t_ab, rs, flip=first_up)
+        first_up = _resolve_cut(_draws(rs, first_el, m), first_cut, rs)
+        second_up = _resolve_cut(
+            _draws(rs, second_el, m), second_cut, rs, flip=first_up, flip_cut=flipped_cut
+        )
         a_up, b_up = (first_up, second_up) if order == "left" else (second_up, first_up)
         pp = int(np.count_nonzero(a_up & b_up))
         return pp, int(np.count_nonzero(a_up)) - pp, int(np.count_nonzero(b_up)) - pp
@@ -417,8 +425,8 @@ def severed_correlation_mc(
     """
 
     def run_block(rs: RandomStream, m: int) -> int:
-        t_left = rs.uniform(-1.0, 1.0, m)
-        t_right = rs.uniform(-1.0, 1.0, m)
+        t_left = _scaled(rs.random(m), -1.0, 1.0)
+        t_right = _scaled(rs.random(m), -1.0, 1.0)
         lam_l = _snap_points(rs, elastic, m)
         lam_r = _snap_points(rs, elastic, m)
         a_up = _resolve(lam_l, t_left, rs)

@@ -16,10 +16,23 @@ Bulk runs partition trials into fixed-size blocks; block ``j`` draws from
 of every Monte Carlo kernel here and in :mod:`qmachine.epr`.  Results are
 therefore bit-identical no matter how many workers execute the blocks, and
 aggregation is a plain sum of counts, which commutes.
+
+Within a block the draw order is fixed: one double per snap point, then one
+coin per exact tie, in trial order, and only when ties occur.  A snap point
+is ``lo + w * u`` for the stream's double ``u = k * 2**-53``, with
+``lo = d - eps`` and ``w = (d + eps) - lo`` rounded as numpy's ``uniform``
+rounds them.  Each rounding step is monotone, so the snap point never
+decreases in ``k``; where the particle's axis coordinate ``t`` is one number
+for the whole call, :func:`_cut` finds once the two draws at which the snap
+point reaches ``t`` and passes it, and a block reads its outcomes from its
+doubles directly (:func:`_resolve_cut`).  The outcomes are those of the snap
+points, bit for bit, as long as numpy forms ``lo + w * u`` in two separately
+rounded steps rather than one fused multiply-add.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -270,12 +283,21 @@ def _map_blocks(block_fn, n: int, seed, workers: int = 1) -> list:
         return list(pool.map(run_block, blocks))
 
 
+def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``low + (high - low) * u`` in place: for the doubles ``u`` of
+    ``random`` these are the bits ``uniform(low, high)`` draws, without its
+    slower per-element loop."""
+    u *= high - low
+    u += low
+    return u
+
+
 def _snap_points(rs: RandomStream, elastic: ElasticSpec, m: int) -> np.ndarray:
     """``m`` snap points, uniform on [d - eps, d + eps]; at eps = 0 the
     point d itself, and nothing is drawn."""
     if elastic.epsilon == 0.0:
         return np.full(m, elastic.d)
-    return rs.uniform(elastic.break_lower, elastic.break_upper, m)
+    return _scaled(rs.random(m), elastic.break_lower, elastic.break_upper)
 
 
 def _resolve(lam: np.ndarray, t, rs: RandomStream, flip=None) -> np.ndarray:
@@ -298,15 +320,111 @@ def _resolve(lam: np.ndarray, t, rs: RandomStream, flip=None) -> np.ndarray:
     return up
 
 
-def _sample_block(rs: RandomStream, m: int, t: float, elastic: ElasticSpec):
-    """Vectorized draws for one block: snap points, outcome flags, tie coins.
+# ``random`` returns k * 2**-53 for an integer k in [0, 2**53)
+_DRAWS = 1 << 53
+_STEP = 2.0**-53
 
-    Draw order within the block stream is fixed (snap points, then coins for
-    however many exact ties occurred), so the result depends only on the
-    block stream and ``m``.
+
+def _first_index(lo: float, w: float, target: float, k: int) -> int:
+    """Smallest k in [0, 2**53) whose snap point ``lo + w * (k * 2**-53)`` is
+    ``>= target``, 2**53 if none; the guess ``k`` must lie in [0, 2**53).
+
+    The snap point never decreases in k, so gallop from the guess until the
+    answer is bracketed, then bisect: a guess off by ``e`` costs O(log e)
+    steps.
     """
-    lam = _snap_points(rs, elastic, m)
-    return lam, _resolve(lam, t, rs)
+    step = 1
+    if lo + w * (k * _STEP) >= target:
+        below, above = k - 1, k
+        while below >= 0 and lo + w * (below * _STEP) >= target:
+            above, step = below, 2 * step
+            below = above - step
+        if below < 0:
+            below = -1
+    else:
+        below, above = k, k + 1
+        while above < _DRAWS and lo + w * (above * _STEP) < target:
+            below, step = above, 2 * step
+            above = below + step
+        if above > _DRAWS:
+            above = _DRAWS
+    # the snap point at ``above`` reaches target, or above = 2**53; the one
+    # at ``below`` falls short, or below = -1
+    while above - below > 1:
+        mid = (below + above) // 2
+        if lo + w * (mid * _STEP) >= target:
+            above = mid
+        else:
+            below = mid
+    return above
+
+
+def _cut(elastic: ElasticSpec, t: float) -> tuple[float, float]:
+    """Where the snap points of ``elastic`` cross the axis coordinate ``t``,
+    in the stream's draws: ``(below, upto)``.
+
+    A draw ``u`` of ``random`` places the snap point ``lo + w * u``
+    (:func:`_snap_points`) strictly below ``t`` exactly when ``u < below``,
+    and on ``t`` exactly when ``below <= u < upto``.  Both are ``k * 2**-53``
+    for the first ``k`` whose snap point is ``>= t`` and ``> t``, found in
+    O(log) steps from the estimate ``(t - lo) / w * 2**53``; rounding is
+    monotone, so the snap point never decreases in ``k``.  Where no draw
+    reaches ``t`` the cut is 1.0, above every draw.  At eps = 0 the band's
+    width is 0 and the cut says which side of ``t`` the point d lies.
+    """
+    lo = elastic.break_lower
+    w = elastic.break_upper - lo
+    if w == 0.0:
+        # every snap point is lo (eps = 0, or eps under half a spacing of d)
+        return float(lo < t), float(lo <= t)
+    guess = (t - lo) / w * _DRAWS
+    guess = int(guess) if 0.0 <= guess < _DRAWS else (0 if guess < 0.0 else _DRAWS - 1)
+    below = _first_index(lo, w, t, guess)
+    # a double is > t exactly when it is >= the next double above t
+    upto = _first_index(lo, w, math.nextafter(t, math.inf), min(below, _DRAWS - 1))
+    return below * _STEP, upto * _STEP
+
+
+# Stand-in draws of a rigid band, shared read-only by every block
+_NO_DRAWS = np.zeros(BLOCK_SIZE)
+_NO_DRAWS.flags.writeable = False
+
+
+def _draws(rs: RandomStream, elastic: ElasticSpec, m: int) -> np.ndarray:
+    """The ``m`` doubles that place a block's snap points.  At eps = 0 the
+    snap point is d whatever the draw, so nothing is drawn and zeros stand
+    in."""
+    if elastic.epsilon == 0.0:
+        return _NO_DRAWS[:m]
+    return rs.random(m)
+
+
+def _resolve_cut(u: np.ndarray, cut, rs: RandomStream, flip=None, flip_cut=None) -> np.ndarray:
+    """:func:`_resolve` on the snap points of the draws ``u``, read from the
+    draws through ``cut = _cut(elastic, t)``; True means O1.
+
+    Where the bool mask ``flip`` is set, ``flip_cut``, the cut of ``-t``,
+    applies instead.  Tie coins are drawn as in :func:`_resolve`; the tie
+    mask is built only when a cut has room for ties, and a block whose every
+    trial ties takes its coins as its outcomes.
+    """
+    below, upto = cut
+    up = u < below
+    ties = upto > below
+    if flip is not None:
+        up ^= (up ^ (u < flip_cut[0])) & flip
+        ties = ties or flip_cut[1] > flip_cut[0]
+    if ties:
+        tie = u < upto
+        if flip is not None:
+            tie ^= (tie ^ (u < flip_cut[1])) & flip
+        tie ^= up  # a draw below its cut is below its tie bound too
+        k = np.count_nonzero(tie)
+        if k == len(up):
+            return rs.random(k) < 0.5
+        if k:
+            up[tie] = rs.random(k) < 0.5
+    return up
 
 
 def run_trials(
@@ -322,10 +440,14 @@ def run_trials(
     ``seed`` may be an integer or a :class:`RandomStream`.  The outcome
     counts are identical for any ``workers`` value.
     """
-    t = axis_coordinate(v, u)
+    cut = _cut(elastic, axis_coordinate(v, u))
+    # a cut at 0 or 1 with no room for ties: every draw lands on one side
+    certain = cut[0] == cut[1] and cut[0] in (0.0, 1.0)
 
     def count_block(rs: RandomStream, m: int) -> int:
-        return int(np.count_nonzero(_sample_block(rs, m, t, elastic)[1]))
+        if certain:
+            return m if cut[0] else 0
+        return int(np.count_nonzero(_resolve_cut(_draws(rs, elastic, m), cut, rs)))
 
     n1 = sum(_map_blocks(count_block, n, seed, workers))
     return FrequencyTable(n1, n - n1)
@@ -345,7 +467,14 @@ def run_recorded(
     a :class:`TrialRecords`, 9 bytes per trial; prefer :func:`run_trials`
     when only the counts are needed.
     """
-    t = axis_coordinate(v, u)
-    blocks = _map_blocks(lambda rs, m: _sample_block(rs, m, t, elastic), n, seed)
-    lam, is_o1 = (np.concatenate(arrays) for arrays in zip(*blocks))
+    cut = _cut(elastic, axis_coordinate(v, u))
+
+    def record_block(rs: RandomStream, m: int):
+        draws = _draws(rs, elastic, m)
+        up = _resolve_cut(draws, cut, rs)
+        if elastic.epsilon == 0.0:
+            return np.full(m, elastic.d), up
+        return _scaled(draws, elastic.break_lower, elastic.break_upper), up
+
+    lam, is_o1 = (np.concatenate(arrays) for arrays in zip(*_map_blocks(record_block, n, seed)))
     return TrialRecords(lam, is_o1, u)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmachine.epr
+import qmachine.sampler
 from qmachine.analytic import epsilon_probabilities
 from qmachine.epr import joint_counts, plane_direction, severed_chsh_scan
 from qmachine.geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordinate
@@ -15,8 +17,11 @@ from qmachine.sampler import (
     TrialRecord,
     TrialRecords,
     _block_lengths,
+    _cut,
+    _draws,
     _resolve,
-    _sample_block,
+    _resolve_cut,
+    _snap_points,
     hidden_outcome,
     measure,
     outcome_at_axis,
@@ -177,6 +182,19 @@ class TestGeneratorBuilds:
         severed_chsh_scan(ElasticSpec(1.0, 0.0), angles_count=2, n=BLOCK_SIZE + 1)
         assert builds[0] == 8
 
+    def test_certain_outcomes_build_none(self, builds):
+        # the band [-0.3, 0.7] lies wholly below 0.8 and above -0.5
+        band = ElasticSpec(0.5, 0.2)
+        assert run_trials(direction_at(0.8), Z, band, 2 * BLOCK_SIZE, 5).n_o1 == 2 * BLOCK_SIZE
+        assert run_trials(direction_at(-0.5), Z, band, 2 * BLOCK_SIZE, 5).n_o1 == 0
+        # no uniform snap point reaches the pole
+        assert run_trials(Z, Z, ElasticSpec(1.0, 0.0), 1000, 5).n_o1 == 1000
+        assert run_trials(direction_at(0.1), Z, ElasticSpec(0.0, 0.0), 1000, 5).n_o1 == 1000
+        assert builds[0] == 0
+        # a rigid band on its own coordinate draws one coin per trial
+        assert 0 < run_trials(direction_at(0.0), Z, ElasticSpec(0.0, 0.0), 1000, 5).n_o1 < 1000
+        assert builds[0] == 1
+
 
 class TestSampleBreakPoint:
     def test_rigid_band_is_deterministic(self):
@@ -317,7 +335,9 @@ def reference_records(v, u, elastic, n, seed):
     post_up, post_down = SphereState(u), SphereState(-u)
     records = []
     for j, m in enumerate(_block_lengths(n, BLOCK_SIZE)):
-        lam, is_o1 = _sample_block(root.substream(j), m, t, elastic)
+        rs = root.substream(j)
+        lam = _snap_points(rs, elastic, m)
+        is_o1 = _resolve(lam, t, rs)
         for k in range(m):
             index = j * BLOCK_SIZE + k
             if is_o1[k]:
@@ -459,6 +479,47 @@ class TestRunRecorded:
                 assert table.frequency(outcome) == 1.0
 
 
+SPECIAL_EPSILONS = (1.0, 0.5, 1e-9, 1e-300)
+# draw indices k whose snap point lo + w * (k * 2**-53) serves as t
+SPECIAL_INDICES = (0, 1, 2**52, 2**53 - 1)
+
+
+@st.composite
+def bands(draw):
+    """A valid band: one of the special widths or any, at any offset d."""
+    eps = draw(st.one_of(st.sampled_from(SPECIAL_EPSILONS), st.floats(0.0, 1.0)))
+    d = draw(st.one_of(st.just(0.0), st.floats(-1.0 + eps, 1.0 - eps)))
+    return ElasticSpec(eps, d)
+
+
+def t_choices():
+    """How to pick the axis coordinate: a value, a snap value of a special
+    draw index, or one of the block's own snap points or its negative (a
+    real tie at t or at -t)."""
+    return st.one_of(
+        st.tuples(st.just("value"), st.sampled_from((0.0, -0.0, 1.0, -1.0))),
+        st.tuples(st.just("value"), st.floats(-1.0, 1.0)),
+        st.tuples(st.just("index"), st.sampled_from(SPECIAL_INDICES)),
+        st.tuples(st.sampled_from(("own", "-own")), st.floats(0.0, 1.0, exclude_max=True)),
+        st.tuples(st.just("beyond"), st.sampled_from((-1.0, 1.0))),
+    )
+
+
+def coordinate_for(band, where, seed, m):
+    kind, x = where
+    lo, hi = band.break_lower, band.break_upper
+    if kind == "value":
+        return x
+    if kind == "index":
+        return lo + (hi - lo) * (x * 2.0**-53)
+    if kind in ("own", "-own"):
+        lam = _snap_points(RandomStream(seed), band, m)
+        own = float(lam[int(x * m)])
+        return own if kind == "own" else -own
+    # just outside the band on either side
+    return math.nextafter(hi, math.inf) if x > 0 else math.nextafter(lo, -math.inf)
+
+
 class TestTieRule:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -515,3 +576,130 @@ class TestTieRule:
         by_array = _resolve(lam, np.where(flip, -t, t), array_rs)
         assert np.array_equal(by_mask, by_array)
         assert mask_rs.random() == array_rs.random()
+
+    # --- the cut resolver: outcomes read from the draws, no snap points ---
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        band=bands(),
+        where=t_choices(),
+        flip_p=st.sampled_from((None, 0.0, 0.5, 1.0)),
+        m=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_cut_matches_snap_points(self, band, where, flip_p, m, seed):
+        t = coordinate_for(band, where, seed, m)
+        ref_rs, cut_rs = RandomStream(seed), RandomStream(seed)
+        lam = _snap_points(ref_rs, band, m)
+        draws = _draws(cut_rs, band, m)
+        if flip_p is None:
+            expected = _resolve(lam, t, ref_rs)
+            got = _resolve_cut(draws, _cut(band, t), cut_rs)
+        else:
+            flip = np.random.default_rng(seed).random(m) < flip_p
+            expected = _resolve(lam, np.where(flip, -t, t), ref_rs)
+            got = _resolve_cut(draws, _cut(band, t), cut_rs, flip=flip, flip_cut=_cut(band, -t))
+        assert np.array_equal(got, expected)
+        # the same number of tie coins: both streams stand at the same draw
+        assert cut_rs.random() == ref_rs.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(band=bands(), where=t_choices(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_cut_is_the_first_draw_to_reach_t(self, band, where, seed):
+        t = coordinate_for(band, where, seed, 50)
+        lo, w = band.break_lower, band.break_upper - band.break_lower
+        below, upto = _cut(band, t)
+        k_lt, k_le = below * 2.0**53, upto * 2.0**53
+        assert k_lt == int(k_lt) and k_le == int(k_le)
+        k_lt, k_le = int(k_lt), int(k_le)
+        assert 0 <= k_lt <= k_le <= 2**53
+
+        def snap(k):
+            return lo + w * (k * 2.0**-53)
+
+        assert k_lt == 0 or snap(k_lt - 1) < t
+        assert k_lt == 2**53 or snap(k_lt) >= t
+        assert k_le == 0 or snap(k_le - 1) <= t
+        assert k_le == 2**53 or snap(k_le) > t
+
+    def test_zero_width_band_with_draws(self):
+        # d - eps and d + eps round to d: every snap point is d, one draw
+        # per trial is still taken, and t = d sends every trial to a coin
+        band = ElasticSpec(1e-300, 0.3)
+        assert band.break_upper - band.break_lower == 0.0
+        assert _cut(band, 0.3) == (0.0, 1.0)
+        assert _cut(band, 0.5) == (1.0, 1.0) and _cut(band, -0.5) == (0.0, 0.0)
+        ref_rs, cut_rs = RandomStream(3), RandomStream(3)
+        expected = _resolve(_snap_points(ref_rs, band, 100), 0.3, ref_rs)
+        got = _resolve_cut(_draws(cut_rs, band, 100), _cut(band, 0.3), cut_rs)
+        assert np.array_equal(got, expected) and 0 < got.sum() < 100
+        assert cut_rs.random() == ref_rs.random()
+
+    def test_rigid_band_draws_nothing(self):
+        band = ElasticSpec(0.0, 0.2)
+        rs, fresh = RandomStream(4), RandomStream(4)
+        assert not _resolve_cut(_draws(rs, band, 10), _cut(band, 0.1), rs).any()
+        assert _resolve_cut(_draws(rs, band, 10), _cut(band, 0.3), rs).all()
+        assert rs.random() == fresh.random()
+
+
+class TestDrawArithmetic:
+    """The cut is exact only if the snap points are lo + w * u with the
+    stream's doubles u = k * 2**-53, in two separately rounded steps; a
+    numpy build that fused the multiply-add would move outcome bytes."""
+
+    GUARD_BANDS = (
+        (-1.0, 1.0), (-0.3, 0.7), (0.25, 0.75), (-0.7, 0.3),
+        (0.2 - 1e-9, 0.2 + 1e-9), (0.3 - 1e-300, 0.3 + 1e-300),
+    )
+
+    @pytest.mark.parametrize("low, high", GUARD_BANDS)
+    def test_uniform_is_two_rounded_steps(self, low, high):
+        drawn = RandomStream(11).uniform(low, high, 20_000)
+        u = RandomStream(11).random(20_000)
+        product = np.multiply(u, high - low)
+        assert np.array_equal(drawn, np.add(product, low))
+        # and the scalar steps the cut evaluates give the same doubles
+        assert all(low + (high - low) * x == y for x, y in zip(u[:500].tolist(), drawn[:500]))
+
+    def test_doubles_are_whole_multiples_of_two_to_minus_53(self):
+        u = RandomStream(12).random(20_000) * 2.0**53
+        assert np.array_equal(u, np.floor(u)) and u.max() < 2.0**53
+
+    @pytest.mark.parametrize("eps, d", [(1.0, 0.0), (0.5, 0.2), (1e-9, 0.3), (1e-300, 0.3)])
+    def test_snap_points_are_the_uniform_draw(self, eps, d):
+        band = ElasticSpec(eps, d)
+        lam = _snap_points(RandomStream(13), band, 5_000)
+        drawn = RandomStream(13).uniform(band.break_lower, band.break_upper, 5_000)
+        assert np.array_equal(lam.view(np.uint64), drawn.view(np.uint64))
+
+
+class TestCutsPerCall:
+    """Each kernel call solves its cuts once, not once per block."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        count = [0]
+
+        def counting_cut(*args):
+            count[0] += 1
+            return _cut(*args)
+
+        monkeypatch.setattr(qmachine.sampler, "_cut", counting_cut)
+        monkeypatch.setattr(qmachine.epr, "_cut", counting_cut)
+        return count
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_trials(self, solves, workers):
+        run_trials(direction_at(0.3), Z, ElasticSpec(1.0, 0.0), 3 * BLOCK_SIZE, 1, workers)
+        assert solves[0] == 1
+
+    def test_run_recorded(self, solves):
+        run_recorded(direction_at(0.3), Z, ElasticSpec(0.5, 0.1), 2 * BLOCK_SIZE + 1, 2)
+        assert solves[0] == 1
+
+    def test_joint_counts(self, solves):
+        a, b = plane_direction(0.0), plane_direction(1.0)
+        joint_counts(a, b, ElasticSpec(1.0, 0.0), 3 * BLOCK_SIZE, 3, workers=2)
+        # the source wing at 0, the partner at +t_ab and at -t_ab
+        assert solves[0] == 3
