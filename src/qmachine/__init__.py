@@ -44,7 +44,6 @@ from .epr import (
     EntangledPair,
     chsh_analytic,
     chsh_estimate,
-    chsh_sweep,
     correlation_analytic,
     correlation_mc,
     joint_counts,

@@ -218,10 +218,9 @@ def correlation_mc(
     n: int,
     seed,
     workers: int = 1,
-    left_elastic: ElasticSpec | None = None,
 ) -> float:
     """Monte Carlo estimate of the pair correlation <A*B>."""
-    c = joint_counts(a, b, elastic, n, seed, workers, left_elastic)
+    c = joint_counts(a, b, elastic, n, seed, workers)
     same = c[(Outcome.O1, Outcome.O1)] + c[(Outcome.O2, Outcome.O2)]
     return (2 * same - n) / n
 
@@ -283,11 +282,17 @@ def chsh_estimate(
 
 @dataclass(frozen=True)
 class ChshOptimum:
-    """Settings-optimized CHSH: the largest |S| and where it is attained."""
+    """Settings-optimized CHSH: the largest |S| and the coplanar angles
+    (a, a', b, b') in degrees, as :meth:`ChshSetting.from_plane_degrees`
+    takes them, where it is attained."""
 
     max_abs_s: float
     signed_s: float
-    setting: ChshSetting
+    angles_deg: tuple[float, float, float, float]
+
+    @property
+    def setting(self) -> ChshSetting:
+        return ChshSetting.from_plane_degrees(*self.angles_deg)
 
 
 # Cells (a' rows x grid angles) per array chunk of the max_chsh grid scan:
@@ -298,15 +303,13 @@ _CHUNK_CELLS = 2**15
 MIN_RESOLUTION_DEG = 0.05
 
 
-def max_chsh(
-    elastic: ElasticSpec, resolution_deg: float = 1.0, refine: bool = True
-) -> ChshOptimum:
-    """Maximize |S| over coplanar settings.
+def _grid_max(eps: float, resolution_deg: float):
+    """The first grid maximum of |S| over coplanar settings, as
+    ``(|S|, sign of S, a', b, b')`` with the angles in radians and a = 0.
 
-    Grid search at ``resolution_deg`` over the three free angles (a is pinned
-    at 0 by rotational symmetry), exploiting that for a fixed a' the b and b'
-    angles maximize independently; optionally polished by a Nelder-Mead local
-    search and then compared with the Tsirelson setting, which wins ties.
+    Scans the three free angles at ``resolution_deg`` (a is pinned at 0 by
+    rotational symmetry), exploiting that for a fixed a' the b and b' angles
+    maximize independently.
 
     Only the canonical sign placement, minus on (a', b'), is scanned.  The
     other three are exact relabelings of the same grid: minus on (a', b) is
@@ -321,11 +324,6 @@ def max_chsh(
     O(m^2).  Ties break as in a sequential scan over a', then +S before -S:
     the first maximum wins.
     """
-    if elastic.d != 0.0:
-        raise ValueError("pair correlations require an unbiased band (d = 0)")
-    if not resolution_deg >= MIN_RESOLUTION_DEG:
-        raise ValueError(f"resolution must be at least {MIN_RESOLUTION_DEG} degrees")
-    eps = elastic.epsilon
     m = max(8, int(round(360.0 / resolution_deg)))
     step = 2.0 * math.pi / m
     grid = np.arange(m) * step
@@ -354,9 +352,23 @@ def max_chsh(
                 scores[j], -1.0 if flip else 1.0,
                 grid[start + r], grid[int(b_at)], grid[int(g_at)],
             )
+    return best
 
-    value, sign, alpha, beta, gamma = best
-    if refine and eps > 0.0:
+
+def max_chsh(elastic: ElasticSpec, resolution_deg: float = 1.0) -> ChshOptimum:
+    """Maximize |S| over coplanar settings.
+
+    The grid maximum of :func:`_grid_max` at ``resolution_deg`` is polished
+    by a Nelder-Mead local search (eps > 0) and then compared with the
+    Tsirelson setting, which wins ties.
+    """
+    if elastic.d != 0.0:
+        raise ValueError("pair correlations require an unbiased band (d = 0)")
+    if not resolution_deg >= MIN_RESOLUTION_DEG:
+        raise ValueError(f"resolution must be at least {MIN_RESOLUTION_DEG} degrees")
+    eps = elastic.epsilon
+    value, sign, *angles = _grid_max(eps, resolution_deg)
+    if eps > 0.0:
 
         def objective(x):
             al, be, ga = x
@@ -366,50 +378,25 @@ def max_chsh(
 
         res = minimize(
             objective,
-            x0=[alpha, beta, gamma],
+            x0=angles,
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 20000, "maxfev": 20000},
         )
         if -res.fun > value:
             value = -res.fun
-            alpha, beta, gamma = (float(x) for x in res.x)
+            angles = res.x
 
-    if refine:
-        # The Tsirelson setting attains min(4, 2*sqrt(2)/eps) exactly
-        # (Cirel'son 1980), scored from its own axes.  A grid maximum is read
-        # off ``curve``, where cos(90 deg) rounds to +6e-17: at an eps small
-        # enough to clamp it, that residue can score a sign the setting's own
-        # axes do not give.  Ties go to the Tsirelson setting.
-        tsirelson = ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG)
-        s_t = chsh_analytic(tsirelson, elastic)
-        if abs(s_t) >= value:
-            return ChshOptimum(abs(s_t), s_t, tsirelson)
-
-    setting = ChshSetting(
-        plane_direction(0.0), plane_direction(alpha), plane_direction(beta), plane_direction(gamma)
+    # The Tsirelson setting attains min(4, 2*sqrt(2)/eps) exactly
+    # (Cirel'son 1980), scored from its own axes.  A grid maximum is read off
+    # ``curve``, where cos(90 deg) rounds to +6e-17: at an eps small enough
+    # to clamp it, that residue can score a sign the setting's own axes do
+    # not give.  Ties go to the Tsirelson setting.
+    s_t = chsh_analytic(ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG), elastic)
+    if abs(s_t) >= value:
+        return ChshOptimum(abs(s_t), s_t, TSIRELSON_ANGLES_DEG)
+    return ChshOptimum(
+        value, sign * value, (0.0, *(math.degrees(x) % 360.0 for x in angles))
     )
-    return ChshOptimum(value, sign * value, setting)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    epsilon: float
-    max_abs_s: float
-    setting: ChshSetting
-
-
-def chsh_sweep(
-    eps_values, resolution_deg: float = 1.0, refine: bool = True
-) -> list[SweepPoint]:
-    """Settings-optimized |S| for each epsilon in ``eps_values``."""
-    eps_values = list(eps_values)
-    if not eps_values:
-        raise ValueError("epsilon grid must not be empty")
-    points = []
-    for eps in eps_values:
-        opt = max_chsh(ElasticSpec(float(eps), 0.0), resolution_deg, refine)
-        points.append(SweepPoint(float(eps), opt.max_abs_s, opt.setting))
-    return points
 
 
 def severed_correlation_mc(

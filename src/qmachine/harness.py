@@ -293,15 +293,6 @@ def _run_sweep(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _setting_angles_deg(setting: ChshSetting) -> tuple[float, float, float, float]:
-    def angle(direction: Direction) -> float:
-        return math.degrees(math.atan2(direction.x, direction.z)) % 360.0
-
-    return (
-        angle(setting.a), angle(setting.a_prime), angle(setting.b), angle(setting.b_prime)
-    )
-
-
 def _run_chsh(config: ExperimentConfig) -> int:
     epsilons = config.epsilon_grid or (config.epsilon,)
     root = RandomStream(config.seed)
@@ -310,9 +301,8 @@ def _run_chsh(config: ExperimentConfig) -> int:
         elastic = ElasticSpec(eps, 0.0)
         if config.optimize:
             optimum = max_chsh(elastic, config.resolution_deg)
-            setting = optimum.setting
+            angles, setting = optimum.angles_deg, optimum.setting
             s_analytic = optimum.signed_s
-            angles = _setting_angles_deg(setting)
         else:
             angles = tuple(float(x) for x in config.angles_deg)
             setting = ChshSetting.from_plane_degrees(*angles)

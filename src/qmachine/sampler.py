@@ -300,20 +300,14 @@ def _snap_points(rs: RandomStream, elastic: ElasticSpec, m: int) -> np.ndarray:
     return _scaled(rs.random(m), elastic.break_lower, elastic.break_upper)
 
 
-def _resolve(lam: np.ndarray, t, rs: RandomStream, flip=None) -> np.ndarray:
+def _resolve(lam: np.ndarray, t, rs: RandomStream) -> np.ndarray:
     """Vectorized outcome rule with fair-coin ties; True means O1.
 
-    ``t`` is a scalar or an array of axis coordinates; where the optional
-    bool mask ``flip`` is set, the coordinate is ``-t`` instead.  One coin
-    is drawn from ``rs`` per exact tie, in index order, and only when ties
-    occur.
+    ``t`` is a scalar or an array of axis coordinates.  One coin is drawn
+    from ``rs`` per exact tie, in index order, and only when ties occur.
     """
     up = lam < t
     tie = lam == t
-    if flip is not None:
-        # np.where(flip, -t, t) as bit algebra: no per-trial coordinate array
-        up ^= (up ^ (lam < -t)) & flip
-        tie ^= (tie ^ (lam == -t)) & flip
     k = np.count_nonzero(tie)
     if k:
         up[tie] = rs.random(k) < 0.5

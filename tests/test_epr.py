@@ -9,11 +9,11 @@ from scipy.optimize import minimize
 
 from qmachine.analytic import epsilon_probabilities
 from qmachine.epr import (
+    TSIRELSON_ANGLES_DEG,
     ChshSetting,
     EntangledPair,
     chsh_analytic,
     chsh_estimate,
-    chsh_sweep,
     correlation_analytic,
     correlation_mc,
     joint_counts,
@@ -23,7 +23,7 @@ from qmachine.epr import (
     severed_chsh_scan,
     severed_correlation_mc,
 )
-from qmachine.epr import _corr_curve, _wing_bands
+from qmachine.epr import _corr_curve, _grid_max, _wing_bands
 from qmachine.geometry import Direction, ElasticSpec, Outcome, axis_coordinate
 from qmachine.sampler import (
     BLOCK_SIZE,
@@ -396,6 +396,17 @@ class TestMaxChsh:
         opt = max_chsh(band, resolution_deg)
         assert abs(chsh_analytic(opt.setting, band) - opt.signed_s) <= 1e-9
 
+    def test_angles_are_the_reported_degrees(self):
+        # the Tsirelson setting keeps its exact degrees; a searched optimum
+        # reports its angles in [0, 360)
+        plateau = max_chsh(ElasticSpec(0.5, 0.0))
+        assert plateau.angles_deg == TSIRELSON_ANGLES_DEG
+        for eps in (1.0, 0.9, 0.75):
+            opt = max_chsh(ElasticSpec(eps, 0.0))
+            assert opt.setting == ChshSetting.from_plane_degrees(*opt.angles_deg)
+            assert opt.angles_deg[0] == 0.0
+            assert all(0.0 <= x < 360.0 for x in opt.angles_deg)
+
     def test_plateau_boundary(self):
         below = max_chsh(ElasticSpec(0.70, 0.0)).max_abs_s
         above = max_chsh(ElasticSpec(0.72, 0.0)).max_abs_s
@@ -443,13 +454,17 @@ class TestMaxChshGridScan:
         (eps, res) for res in (7.0, 50.0, 0.25) for eps in (0.0, 0.5, 1 / ROOT2, 0.9, 1.0)
     ]
 
+    @staticmethod
+    def assert_matches_reference(eps, resolution_deg):
+        value, sign, alpha, beta, gamma = _grid_max(eps, resolution_deg)
+        ref_value, ref_signed, ref_setting = reference_grid_scan(eps, resolution_deg)
+        assert value == ref_value
+        assert sign * value == ref_signed
+        assert ChshSetting(*map(plane_direction, (0.0, alpha, beta, gamma))) == ref_setting
+
     @pytest.mark.parametrize("eps,resolution_deg", CASES)
     def test_matches_sequential_reference_exactly(self, eps, resolution_deg):
-        opt = max_chsh(ElasticSpec(eps, 0.0), resolution_deg, refine=False)
-        value, signed, setting = reference_grid_scan(eps, resolution_deg)
-        assert opt.max_abs_s == value
-        assert opt.signed_s == signed
-        assert opt.setting == setting
+        self.assert_matches_reference(eps, resolution_deg)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -459,11 +474,7 @@ class TestMaxChshGridScan:
     @example(0.9, 40.0)  # m = 9
     @example(1.0, 8.0)  # m = 45
     def test_one_placement_matches_four_placement_reference(self, eps, resolution_deg):
-        opt = max_chsh(ElasticSpec(eps, 0.0), resolution_deg, refine=False)
-        value, signed, setting = reference_grid_scan(eps, resolution_deg)
-        assert opt.max_abs_s == value
-        assert opt.signed_s == signed
-        assert opt.setting == setting
+        self.assert_matches_reference(eps, resolution_deg)
 
     @pytest.mark.parametrize("resolution_deg", [1.0, 7.0, 50.0])
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1 / ROOT2, 0.9, 1.0])
@@ -488,23 +499,20 @@ class TestMaxChshGridScan:
         assert abs(max_chsh(ElasticSpec(eps, 0.0)).max_abs_s - expected) <= 1e-9
 
 
-class TestChshSweep:
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            chsh_sweep([])
-
-    def test_monotone_non_increasing(self):
-        points = chsh_sweep((0.0, 0.25, 0.5, 0.75, 1.0))
-        values = [p.max_abs_s for p in points]
-        assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
-        assert values[0] == pytest.approx(4.0, abs=1e-9)
-        assert values[-1] == pytest.approx(2.0 * ROOT2, abs=1e-9)
-
-
 class TestSeveredRod:
     def test_correlation_vanishes(self):
         est = severed_correlation_mc(ElasticSpec(1.0, 0.0), 200_000, 53)
         assert abs(est) <= 4.0 / math.sqrt(200_000)
+
+    # each wing's uniform state sees the band's mean outcome -d, and the two
+    # wings are independent, so E = d**2 for any band inside [-1, 1]
+    @pytest.mark.parametrize("eps,d,seed", [
+        (0.3, 0.4, 55), (0.5, -0.5, 56), (0.0, 0.6, 57), (0.1, -0.2, 58), (1.0, 0.0, 59),
+    ])
+    def test_biased_band_correlation_is_d_squared(self, eps, d, seed):
+        n = 400_000
+        est = severed_correlation_mc(ElasticSpec(eps, d), n, seed)
+        assert abs(est - d * d) <= 5.0 * math.sqrt((1.0 - d**4) / n)
 
     def test_classical_bound_over_grid(self):
         n = 50_000

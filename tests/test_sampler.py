@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import qmachine.epr
 import qmachine.sampler
-from qmachine.analytic import epsilon_probabilities
+from qmachine.analytic import epsilon_probabilities, probabilities_from_axis
 from qmachine.epr import joint_counts, plane_direction, severed_chsh_scan
 from qmachine.geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordinate
 from qmachine.sampler import (
@@ -537,46 +537,6 @@ class TestTieRule:
         # both consumed the same draws: one coin at a tie, none otherwise
         assert scalar_rs.random() == vector_rs.random()
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        t=st.floats(min_value=-1.0, max_value=1.0),
-        break_point=st.floats(min_value=-1.0, max_value=1.0),
-        tie=st.booleans(),
-        flip=st.booleans(),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_scalar_rule_matches_flipped_rule(self, t, break_point, tie, flip, seed):
-        coordinate = -t if flip else t
-        if tie:
-            break_point = coordinate
-        scalar_rs, vector_rs = RandomStream(seed), RandomStream(seed)
-        scalar_up = outcome_at_axis(coordinate, break_point, scalar_rs) is Outcome.O1
-        vector_up = _resolve(np.array([break_point]), t, vector_rs, flip=np.array([flip]))
-        assert scalar_up == vector_up[0]
-        assert scalar_rs.random() == vector_rs.random()
-
-    # ties at +t and at -t, flipped or not, mixed in one array: the flip mask
-    # must resolve, and draw its coins, exactly like the coordinate array
-    @settings(max_examples=100, deadline=None)
-    @given(
-        t=st.floats(min_value=-1.0, max_value=1.0),
-        cells=st.lists(
-            st.tuples(st.sampled_from(("t", "-t", "0", "other")), st.booleans()),
-            min_size=1, max_size=40,
-        ),
-        other=st.floats(min_value=-1.0, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_flip_mask_matches_coordinate_array(self, t, cells, other, seed):
-        value = {"t": t, "-t": -t, "0": 0.0, "other": other}
-        lam = np.array([value[c] for c, _ in cells])
-        flip = np.array([f for _, f in cells])
-        mask_rs, array_rs = RandomStream(seed), RandomStream(seed)
-        by_mask = _resolve(lam, t, mask_rs, flip=flip)
-        by_array = _resolve(lam, np.where(flip, -t, t), array_rs)
-        assert np.array_equal(by_mask, by_array)
-        assert mask_rs.random() == array_rs.random()
-
     # --- the cut resolver: outcomes read from the draws, no snap points ---
 
     @settings(max_examples=300, deadline=None)
@@ -621,6 +581,24 @@ class TestTieRule:
         assert k_lt == 2**53 or snap(k_lt) >= t
         assert k_le == 0 or snap(k_le - 1) <= t
         assert k_le == 2**53 or snap(k_le) > t
+
+    # the cut against the paper's band law p1 = (t - d + eps) / (2 eps): a
+    # draw below the cut goes up and a tie is a fair coin.  Snap points are
+    # rounded to the doubles near |d| + eps, so p1 moves in steps of about
+    # ulp(|d| + eps) / eps; a rigid band's p1 is exact
+    @settings(max_examples=500, deadline=None)
+    @given(band=bands(), data=st.data())
+    def test_cut_obeys_the_band_law(self, band, data):
+        t = data.draw(st.one_of(
+            st.floats(-1.0, 1.0),
+            st.sampled_from((0.0, -0.0, 1.0, -1.0, band.d, band.break_lower, band.break_upper)),
+        ))
+        t = min(1.0, max(-1.0, t))
+        below, upto = _cut(band, t)
+        p1 = probabilities_from_axis(t, band).p1
+        eps = band.epsilon
+        bound = 0.0 if eps == 0.0 else 2.0**-52 + 2.0 * math.ulp(abs(band.d) + eps) / eps
+        assert abs(below + (upto - below) / 2 - p1) <= bound
 
     def test_zero_width_band_with_draws(self):
         # d - eps and d + eps round to d: every snap point is d, one draw
