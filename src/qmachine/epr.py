@@ -193,7 +193,7 @@ def joint_counts(
     # axis coordinate -t_ab after an up outcome, t_ab after a down one
     second_cut, flipped_cut = _cut(second_el, t_ab), _cut(second_el, -t_ab)
 
-    def run_block(rs: RandomStream, m: int):
+    def run_block(rs: RandomStream, m: int, _start: int):
         first_up = _resolve_cut(_draws(rs, first_el, m), first_cut, rs)
         second_up = _resolve_cut(
             _draws(rs, second_el, m), second_cut, rs, flip=first_up, flip_cut=flipped_cut
@@ -411,7 +411,7 @@ def severed_correlation_mc(
     the product of the single-wing biases, 0 for an unbiased band.
     """
 
-    def run_block(rs: RandomStream, m: int) -> int:
+    def run_block(rs: RandomStream, m: int, _start: int) -> int:
         t_left = _scaled(rs.random(m), -1.0, 1.0)
         t_right = _scaled(rs.random(m), -1.0, 1.0)
         lam_l = _snap_points(rs, elastic, m)

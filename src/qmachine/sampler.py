@@ -32,6 +32,7 @@ rounded steps rather than one fused multiply-add.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -117,8 +118,17 @@ class TrialRecords(Sequence[TrialRecord]):
     __hash__ = None
 
     def __init__(self, break_points, o1, axis: Direction):
-        break_points = np.array(break_points, dtype=np.float64)
-        o1 = np.array(o1, dtype=bool)
+        self._hold(np.array(break_points, dtype=np.float64), np.array(o1, dtype=bool), axis)
+
+    @classmethod
+    def _adopt(cls, break_points: np.ndarray, o1: np.ndarray, axis: Direction):
+        """Records over a float64 and a bool array that the caller alone
+        holds: they are made read-only and kept, not copied."""
+        records = cls.__new__(cls)
+        records._hold(break_points, o1, axis)
+        return records
+
+    def _hold(self, break_points: np.ndarray, o1: np.ndarray, axis: Direction) -> None:
         if break_points.ndim != 1 or break_points.shape != o1.shape:
             raise ValueError("break_points and o1 must be 1-D arrays of equal length")
         break_points.flags.writeable = False
@@ -259,28 +269,54 @@ def _block_lengths(n: int, block_size: int) -> list[int]:
     return [block_size] * full + ([rem] if rem else [])
 
 
-def _map_blocks(block_fn, n: int, seed, workers: int = 1) -> list:
-    """``block_fn(root.substream(j), m)`` for each block ``j`` of ``m``
-    trials, in block order, run on ``workers`` threads.
+def _whole(value, name: str) -> int:
+    """``value`` as an int: numpy integers pass, a bool or a float does not."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
-    The ``n`` trials fill blocks of ``BLOCK_SIZE``, the last one takes the
-    rest; ``seed`` is an int or the root :class:`RandomStream`.
-    """
+
+def _checked(n, workers) -> tuple[int, int]:
+    """``n`` and ``workers`` as ints, at least 1 trial and 1 worker."""
+    n, workers = _whole(n, "n"), _whole(workers, "workers")
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
+    return n, workers
+
+
+def _map_blocks(block_fn, n: int, seed, workers: int = 1) -> list:
+    """``block_fn(root.substream(j), m, start)`` for each block ``j`` of
+    ``m`` trials from trial ``start`` on, in block order.
+
+    The ``n`` trials fill blocks of ``BLOCK_SIZE``, the last one takes the
+    rest; ``seed`` is an int or the root :class:`RandomStream`.  The blocks
+    run on ``min(workers, blocks)`` threads, inline when that is 1: each
+    thread claims the next unclaimed block until none is left and stores
+    its result at the block's index.
+    """
+    n, workers = _checked(n, workers)
     root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
+    sizes = _block_lengths(n, BLOCK_SIZE)
+    threads = min(workers, len(sizes))
+    if threads == 1:
+        return [block_fn(root.substream(j), m, j * BLOCK_SIZE) for j, m in enumerate(sizes)]
+    results = [None] * len(sizes)
+    claims = itertools.count()  # its ``next`` is atomic under the GIL
 
-    def run_block(block):
-        j, m = block
-        return block_fn(root.substream(j), m)
+    def work():
+        for j in claims:
+            if j >= len(sizes):
+                return
+            results[j] = block_fn(root.substream(j), sizes[j], j * BLOCK_SIZE)
 
-    blocks = list(enumerate(_block_lengths(n, BLOCK_SIZE)))
-    if workers == 1:
-        return list(map(run_block, blocks))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_block, blocks))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for task in [pool.submit(work) for _ in range(threads)]:
+            task.result()
+    return results
 
 
 def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -437,8 +473,12 @@ def run_trials(
     cut = _cut(elastic, axis_coordinate(v, u))
     # a cut at 0 or 1 with no room for ties: every draw lands on one side
     certain = cut[0] == cut[1] and cut[0] in (0.0, 1.0)
+    if certain:
+        # nothing is drawn, so the blocks run inline whatever ``workers`` is
+        _checked(n, workers)
+        workers = 1
 
-    def count_block(rs: RandomStream, m: int) -> int:
+    def count_block(rs: RandomStream, m: int, _start: int) -> int:
         if certain:
             return m if cut[0] else 0
         return int(np.count_nonzero(_resolve_cut(_draws(rs, elastic, m), cut, rs)))
@@ -461,14 +501,18 @@ def run_recorded(
     a :class:`TrialRecords`, 9 bytes per trial; prefer :func:`run_trials`
     when only the counts are needed.
     """
+    n = _checked(n, 1)[0]
     cut = _cut(elastic, axis_coordinate(v, u))
+    break_points, o1 = np.empty(n), np.empty(n, dtype=bool)
 
-    def record_block(rs: RandomStream, m: int):
-        draws = _draws(rs, elastic, m)
-        up = _resolve_cut(draws, cut, rs)
+    def record_block(rs: RandomStream, m: int, start: int) -> None:
+        lam = break_points[start:start + m]
         if elastic.epsilon == 0.0:
-            return np.full(m, elastic.d), up
-        return _scaled(draws, elastic.break_lower, elastic.break_upper), up
+            lam.fill(elastic.d)
+            o1[start:start + m] = _resolve_cut(_NO_DRAWS[:m], cut, rs)
+        else:
+            o1[start:start + m] = _resolve_cut(rs._generator().random(out=lam), cut, rs)
+            _scaled(lam, elastic.break_lower, elastic.break_upper)
 
-    lam, is_o1 = (np.concatenate(arrays) for arrays in zip(*_map_blocks(record_block, n, seed)))
-    return TrialRecords(lam, is_o1, u)
+    _map_blocks(record_block, n, seed)
+    return TrialRecords._adopt(break_points, o1, u)

@@ -548,7 +548,7 @@ def where_joint_counts(a, b, elastic, n, seed, workers=1, left_elastic=None, ord
     first_el, second_el = _wing_bands(elastic, left_elastic, order)
     t_ab = axis_coordinate(a, b)
 
-    def run_block(rs, m):
+    def run_block(rs, m, _start):
         first_up = _resolve(_snap_points(rs, first_el, m), 0.0, rs)
         t2 = np.where(first_up, -t_ab, t_ab)
         second_up = _resolve(_snap_points(rs, second_el, m), t2, rs)

@@ -10,6 +10,10 @@ library and must say so.
 import hashlib
 import math
 
+import numpy as np
+import pytest
+
+import qmachine.sampler
 from qmachine.epr import joint_counts, plane_direction, severed_correlation_mc
 from qmachine.geometry import Direction, ElasticSpec, Outcome, axis_coordinate
 from qmachine.sampler import BLOCK_SIZE, RandomStream, run_recorded, run_trials
@@ -115,3 +119,49 @@ def test_grid_reaches_ties_and_both_block_counts():
         tie = run_trials(STATES[4], Z, band, 1000, 1)
         assert 0 < tie.n_o1 < 1000
     assert min(SIZES) < BLOCK_SIZE < max(SIZES) <= 2 * BLOCK_SIZE
+
+
+@pytest.mark.parametrize("workers", (3, 8))
+def test_worker_counts_give_the_same_bytes(workers, monkeypatch):
+    """Over the digest's grid, every kernel gives at ``workers`` the bytes
+    it gives on one thread; ``run_recorded``, which has no ``workers``
+    argument, runs its blocks on the threads of a patched dispatcher.  A
+    five-block size joins the grid's sizes, so that the two counts start
+    different numbers of threads."""
+    map_blocks = qmachine.sampler._map_blocks
+
+    def recorded(v, band, n, seed):
+        monkeypatch.setattr(
+            qmachine.sampler, "_map_blocks", lambda fn, n, seed: map_blocks(fn, n, seed, workers)
+        )
+        threaded = run_recorded(v, Z, band, n, seed)
+        monkeypatch.setattr(qmachine.sampler, "_map_blocks", map_blocks)
+        return threaded, run_recorded(v, Z, band, n, seed)
+
+    seed = 0
+    for eps, d in BANDS:
+        band = ElasticSpec(eps, d)
+        for v in STATES:
+            for n in SIZES + (4 * BLOCK_SIZE + 3,):
+                seed += 1
+                assert run_trials(v, Z, band, n, seed, workers) == run_trials(v, Z, band, n, seed)
+                threaded, serial = recorded(v, band, n, seed)
+                assert threaded.break_points.tobytes() == serial.break_points.tobytes()
+                assert np.array_equal(threaded.o1, serial.o1)
+    a = plane_direction(0.0)
+    for eps in PAIR_EPSILONS:
+        band = ElasticSpec(eps, 0.0)
+        for b_deg in PAIR_B_DEG:
+            b = plane_direction(math.radians(b_deg))
+            for order in ("left", "right"):
+                for n in SIZES + (4 * BLOCK_SIZE + 3,):
+                    seed += 1
+                    assert joint_counts(a, b, band, n, seed, workers, order=order) == joint_counts(
+                        a, b, band, n, seed, order=order
+                    )
+    for eps, d in ((0.0, 0.0), (1e-9, 0.0), (0.5, 0.0), (0.5, 0.2), (1.0, 0.0)):
+        band = ElasticSpec(eps, d)
+        for n in SIZES + (4 * BLOCK_SIZE + 3,):
+            seed += 1
+            threaded = severed_correlation_mc(band, n, seed, workers)
+            assert threaded.hex() == severed_correlation_mc(band, n, seed).hex()

@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from qmachine.sampler import (
     _block_lengths,
     _cut,
     _draws,
+    _map_blocks,
     _resolve,
     _resolve_cut,
     _snap_points,
@@ -681,3 +685,167 @@ class TestCutsPerCall:
         joint_counts(a, b, ElasticSpec(1.0, 0.0), 3 * BLOCK_SIZE, 3, workers=2)
         # the source wing at 0, the partner at +t_ab and at -t_ab
         assert solves[0] == 3
+
+
+class InlineExecutor:
+    """Stands in for ``ThreadPoolExecutor``: records ``max_workers`` and every
+    submitted task, and runs each task at once in the calling thread."""
+
+    def __init__(self, made, max_workers):
+        self.max_workers = max_workers
+        self.tasks = []
+        made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        self.tasks.append(fn)
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def block_id(rs, m, start):
+    return rs.spawn_key, m, start
+
+
+def expected_ids(n):
+    return [((j,), m, j * BLOCK_SIZE) for j, m in enumerate(_block_lengths(n, BLOCK_SIZE))]
+
+
+class TestDispatcher:
+    """``_map_blocks`` starts one task per thread, never more threads than
+    blocks, and no pool for a call that fits one thread."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(
+            qmachine.sampler, "ThreadPoolExecutor", lambda max_workers: InlineExecutor(made, max_workers)
+        )
+        return made
+
+    @pytest.mark.parametrize(
+        "workers, n, threads",
+        [
+            (2, 3 * BLOCK_SIZE, 2),
+            (3, 2 * BLOCK_SIZE + 1, 3),
+            (8, 3 * BLOCK_SIZE, 3),
+            (64, 5 * BLOCK_SIZE - 1, 5),
+            (10**6, 2 * BLOCK_SIZE, 2),
+            (4, 4_000_000, 4),
+        ],
+    )
+    def test_one_task_per_thread(self, pools, workers, n, threads):
+        assert _map_blocks(block_id, n, RandomStream(3), workers) == expected_ids(n)
+        [pool] = pools
+        assert pool.max_workers == threads
+        assert len(pool.tasks) == threads
+
+    @pytest.mark.parametrize("workers", [1, 2, 8, 10**6])
+    def test_one_block_runs_inline(self, pools, workers):
+        assert _map_blocks(block_id, BLOCK_SIZE, 3, workers) == expected_ids(BLOCK_SIZE)
+        assert _map_blocks(block_id, 7, 3, workers) == [((0,), 7, 0)]
+        assert pools == []
+
+    def test_one_worker_runs_inline(self, pools):
+        assert _map_blocks(block_id, 5 * BLOCK_SIZE, 3) == expected_ids(5 * BLOCK_SIZE)
+        assert pools == []
+
+    def test_certain_run_trials_starts_no_pool(self, pools):
+        band = ElasticSpec(0.5, 0.2)
+        n = 3 * BLOCK_SIZE
+        assert run_trials(direction_at(0.8), Z, band, n, 5, workers=8).n_o1 == n
+        assert run_trials(direction_at(-0.5), Z, band, n, 5, workers=2).n_o1 == 0
+        assert pools == []
+        # a draw that decides the outcome takes the threads again
+        run_trials(direction_at(0.3), Z, band, n, 5, workers=8)
+        assert [pool.max_workers for pool in pools] == [3]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_certain_call_still_checks_workers(self, pools, workers):
+        with pytest.raises(ValueError, match="workers must be positive"):
+            run_trials(Z, Z, ElasticSpec(1.0, 0.0), 3 * BLOCK_SIZE, 1, workers=workers)
+        with pytest.raises(ValueError, match="need at least one trial"):
+            run_trials(Z, Z, ElasticSpec(1.0, 0.0), 0, 1, workers=2)
+        assert pools == []
+
+    def test_exception_propagates(self, pools):
+        def fail_at_one(rs, m, start):
+            if rs.spawn_key == (1,):
+                raise RuntimeError("block 1 failed")
+            return m
+
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            _map_blocks(fail_at_one, 3 * BLOCK_SIZE, 3, workers=2)
+
+    def test_threads_return_block_order(self):
+        # later blocks finish first; every result still lands at its index
+        n = 6 * BLOCK_SIZE
+        ran_on = set()
+
+        def slow_early_blocks(rs, m, start):
+            ran_on.add(threading.get_ident())
+            time.sleep(0.002 * (6 - rs.spawn_key[0]))
+            return block_id(rs, m, start)
+
+        assert _map_blocks(slow_early_blocks, n, 4, workers=3) == expected_ids(n)
+        assert 1 <= len(ran_on) <= 3
+
+    def test_thread_exception_propagates(self):
+        def fail_at_last(rs, m, start):
+            if rs.spawn_key == (2,):
+                raise RuntimeError("block 2 failed")
+            return m
+
+        with pytest.raises(RuntimeError, match="block 2 failed"):
+            _map_blocks(fail_at_last, 3 * BLOCK_SIZE, 3, workers=2)
+
+
+BAND = ElasticSpec(1.0, 0.0)
+
+
+class TestArgumentTypes:
+    """``n`` and ``workers`` must be integers, numpy's included, never bools."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n, w: run_trials(direction_at(0.3), Z, BAND, n, 1, w),
+            lambda n, w: run_trials(Z, Z, BAND, n, 1, w),  # certain
+            lambda n, w: joint_counts(plane_direction(0.0), plane_direction(1.0), BAND, n, 1, w),
+            lambda n, w: qmachine.epr.severed_correlation_mc(BAND, n, 1, w),
+        ],
+        ids=["run_trials", "run_trials-certain", "joint_counts", "severed"],
+    )
+    def test_kernels_check_types(self, call):
+        for n in (1e3, 1000.0, "1000", True, np.bool_(True), None):
+            with pytest.raises(TypeError, match=r"^n must be an integer"):
+                call(n, 1)
+        for workers in (2.5, 2.0, True, np.bool_(True), "2"):
+            with pytest.raises(TypeError, match=r"^workers must be an integer"):
+                call(1000, workers)
+        assert call(np.int64(1000), np.uint8(2)) == call(1000, 2)
+
+    def test_run_recorded_checks_n(self):
+        for n in (1e3, True, None):
+            with pytest.raises(TypeError, match=r"^n must be an integer"):
+                run_recorded(direction_at(0.3), Z, BAND, n, 1)
+        with pytest.raises(ValueError, match="need at least one trial"):
+            run_recorded(direction_at(0.3), Z, BAND, 0, 1)
+        assert run_recorded(direction_at(0.3), Z, BAND, np.int64(10), 1) == run_recorded(
+            direction_at(0.3), Z, BAND, 10, 1
+        )
+
+    def test_message_names_the_value(self):
+        with pytest.raises(TypeError, match=r"n must be an integer, got 1000000\.0"):
+            run_trials(direction_at(0.3), Z, BAND, 1e6, 1)
+        with pytest.raises(TypeError, match="workers must be an integer, got True"):
+            run_trials(direction_at(0.3), Z, BAND, 100, 1, True)
