@@ -36,6 +36,11 @@ from .harness import ExperimentConfig, run
 from .sampler import RandomStream, run_trials
 
 ROOT2 = math.sqrt(2.0)
+# Threads for the heaviest Monte Carlo lines (1, 4 and 7): the smallest
+# count that runs the threaded path, one block of memory more, and the same
+# result on any machine.  Lines 2 and 6 are many calls of a few blocks each,
+# where threads cost more than they save.
+WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ def criterion_1_spin_frequencies() -> CriterionResult:
     worst = 0.0
     for k, deg in enumerate((0, 30, 60, 90, 120, 150, 180)):
         v = Direction.from_spherical(math.radians(deg))
-        table = run_trials(v, u, elastic, 1_000_000, root.substream(k))
+        table = run_trials(v, u, elastic, 1_000_000, root.substream(k), WORKERS)
         p1 = quantum_probabilities(v, u).p1
         worst = max(worst, abs(table.frequency(Outcome.O1) - p1))
     return _result(
@@ -130,7 +135,9 @@ def criterion_4_chsh_quantum() -> CriterionResult:
     opt = max_chsh(ElasticSpec(1.0, 0.0))
     analytic_err = abs(opt.max_abs_s - 2.8284271247)
     setting = ChshSetting.from_plane_degrees(0.0, 90.0, 225.0, 135.0)
-    est = chsh_estimate(setting, ElasticSpec(1.0, 0.0), 1_000_000, RandomStream(1004))
+    est = chsh_estimate(
+        setting, ElasticSpec(1.0, 0.0), 1_000_000, RandomStream(1004), WORKERS
+    )
     mc_err = abs(est.value - 2.0 * ROOT2)
     return _result(
         "4-chsh-quantum", analytic_err <= 1e-6 and mc_err <= 0.02,
@@ -207,7 +214,9 @@ def criterion_6_no_signaling() -> CriterionResult:
 def criterion_7_severed_rod() -> CriterionResult:
     """Without the rod the grid-searched |S| obeys the classical bound."""
     n = 100_000
-    best = severed_chsh_scan(ElasticSpec(1.0, 0.0), angles_count=8, n=n, seed=1007)
+    best = severed_chsh_scan(
+        ElasticSpec(1.0, 0.0), angles_count=8, n=n, seed=1007, workers=WORKERS
+    )
     bound = 2.0 + 4.0 * (2.0 / math.sqrt(n))
     return _result(
         "7-severed-rod-bound", best <= bound,

@@ -36,13 +36,15 @@ from .analytic import _clamp_law
 from .geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordinate
 from .sampler import (
     RandomStream,
+    _checked,
     _cut,
     _draws,
     _map_blocks,
+    _map_indexed,
     _resolve,
     _resolve_cut,
     _scaled,
-    _snap_points,
+    _whole,
     measure,
     outcome_at_axis,
     sample_break_point,
@@ -194,9 +196,10 @@ def joint_counts(
     second_cut, flipped_cut = _cut(second_el, t_ab), _cut(second_el, -t_ab)
 
     def run_block(rs: RandomStream, m: int, _start: int):
-        first_up = _resolve_cut(_draws(rs, first_el, m), first_cut, rs)
+        u = _draws(rs, first_el, m)
+        first_up = _resolve_cut(u, first_cut, rs)
         second_up = _resolve_cut(
-            _draws(rs, second_el, m), second_cut, rs, flip=first_up, flip_cut=flipped_cut
+            _draws(rs, second_el, m, spent=u), second_cut, rs, flip=first_up, flip_cut=flipped_cut
         )
         a_up, b_up = (first_up, second_up) if order == "left" else (second_up, first_up)
         pp = int(np.count_nonzero(a_up & b_up))
@@ -268,6 +271,7 @@ def chsh_estimate(
     setting: ChshSetting, elastic: ElasticSpec, n: int, seed, workers: int = 1
 ) -> ChshEstimate:
     """Monte Carlo S with ``n`` pair trials per correlation term."""
+    n = _whole(n, "n")
     if n < 1:
         raise ValueError(f"need at least one trial per term, got {n}")
     root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
@@ -409,15 +413,31 @@ def severed_correlation_mc(
     is then the same for every axis pair (the axis coordinate of a uniform
     state is uniform on [-1, 1]), so no axes are taken; the correlation is
     the product of the single-wing biases, 0 for an unbiased band.
+
+    A block of ``m`` trials reads its stream in a fixed order: the left
+    states, the right states, then (eps > 0) the left and right snap points,
+    then one coin per exact tie, left wing first.  It holds two buffers of
+    ``m`` doubles: the snap points come from a second generator started at
+    draw ``2m``, and the right wing is drawn into the left wing's buffers
+    once the left comparison is done.
     """
+    lo, hi = elastic.break_lower, elastic.break_upper
 
     def run_block(rs: RandomStream, m: int, _start: int) -> int:
-        t_left = _scaled(rs.random(m), -1.0, 1.0)
-        t_right = _scaled(rs.random(m), -1.0, 1.0)
-        lam_l = _snap_points(rs, elastic, m)
-        lam_r = _snap_points(rs, elastic, m)
-        a_up = _resolve(lam_l, t_left, rs)
-        b_up = _resolve(lam_r, t_right, rs)
+        states = rs._generator()
+        t = _scaled(states.random(m), -1.0, 1.0)
+        if elastic.epsilon == 0.0:
+            lam, coins = elastic.d, states  # nothing to draw for the snap points
+        else:
+            coins = rs.generator_at(2 * m)
+            lam = _scaled(coins.random(m), lo, hi)
+        a_up, a_ties = lam < t, np.flatnonzero(lam == t)
+        _scaled(states.random(out=t), -1.0, 1.0)
+        if elastic.epsilon != 0.0:
+            _scaled(coins.random(out=lam), lo, hi)
+        if len(a_ties):
+            a_up[a_ties] = coins.random(len(a_ties)) < 0.5
+        b_up = _resolve(lam, t, coins)
         return int(np.count_nonzero(a_up == b_up))
 
     same = sum(_map_blocks(run_block, n, seed, workers))
@@ -425,20 +445,29 @@ def severed_correlation_mc(
 
 
 def severed_chsh_scan(
-    elastic: ElasticSpec, angles_count: int = 8, n: int = 100_000, seed: int = 0
+    elastic: ElasticSpec,
+    angles_count: int = 8,
+    n: int = 100_000,
+    seed: int = 0,
+    workers: int = 1,
 ) -> float:
     """Largest |S| over an angle grid with the rod severed.
 
-    One independent correlation estimate per (left angle, right angle) pair;
-    S is then assembled for every grid setting combination.  Without the rod
-    this stays within the classical bound 2 up to sampling noise.
+    One independent correlation estimate per (left angle, right angle) pair,
+    estimate ``i * k + j`` from substream ``i * k + j``; S is then assembled
+    for every grid setting combination.  Without the rod this stays within
+    the classical bound 2 up to sampling noise.  The estimates run on
+    ``workers`` threads, each estimate on one, with the same result for any
+    ``workers``.
     """
+    k = _whole(angles_count, "angles_count")
+    if k < 1:
+        raise ValueError(f"angles_count must be positive, got {k}")
+    n, workers = _checked(n, workers)
     root = RandomStream(seed)
-    k = angles_count
-    est = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            est[i, j] = severed_correlation_mc(elastic, n, root.substream(i * k + j))
+    est = np.array(_map_indexed(
+        lambda i: severed_correlation_mc(elastic, n, root.substream(i)), k * k, workers
+    )).reshape(k, k)
     # S[iA, iA', iB, iB'] over all grid combinations
     s = (
         est[:, None, :, None]

@@ -13,9 +13,13 @@ generator, so the threads of :func:`_map_blocks` call it on a shared root.
 
 Bulk runs partition trials into fixed-size blocks; block ``j`` draws from
 ``substream(j)`` only.  One dispatcher, :func:`_map_blocks`, runs the blocks
-of every Monte Carlo kernel here and in :mod:`qmachine.epr`.  Results are
-therefore bit-identical no matter how many workers execute the blocks, and
-aggregation is a plain sum of counts, which commutes.
+of every Monte Carlo kernel here and in :mod:`qmachine.epr`, through
+:func:`_map_indexed`, which runs any list of independent tasks on threads,
+the calling thread one of them.  Results are therefore bit-identical no
+matter how many workers execute the blocks, and aggregation is a plain sum
+of counts, which commutes.  Philox is counter-based, so
+``generator_at(offset)`` starts a second generator at any draw of a stream
+without drawing the ones before it.
 
 Within a block the draw order is fixed: one double per snap point, then one
 coin per exact tie, in trial order, and only when ties occur.  A snap point
@@ -75,6 +79,15 @@ class RandomStream:
             seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
             self._gen = np.random.Generator(np.random.Philox(seq))
         return self._gen
+
+    def generator_at(self, offset: int) -> np.random.Generator:
+        """A new generator of this stream's draws from draw ``offset`` on,
+        counting one per double from the stream's first draw; the stream's
+        own generator does not move."""
+        bits = np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=self.spawn_key))
+        bits.advance(offset // 4)  # one Philox counter step makes four draws
+        bits.random_raw(offset % 4)
+        return np.random.Generator(bits)
 
     def substream(self, index: int) -> "RandomStream":
         """Independent child stream number ``index``."""
@@ -288,35 +301,48 @@ def _checked(n, workers) -> tuple[int, int]:
     return n, workers
 
 
+def _map_indexed(fn, count: int, workers: int) -> list:
+    """``[fn(i) for i in range(count)]`` on ``min(workers, count)`` threads,
+    the calling thread one of them, inline when that is 1: each thread
+    claims the next unclaimed index until none is left and stores its
+    result at that index."""
+    threads = min(workers, count)
+    if threads <= 1:
+        return [fn(i) for i in range(count)]
+    results = [None] * count
+    claims = itertools.count()  # its ``next`` is atomic under the GIL
+
+    def work():
+        for i in claims:
+            if i >= count:
+                return
+            results[i] = fn(i)
+
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(threads - 1)]
+        work()
+        for task in helpers:
+            task.result()
+    return results
+
+
 def _map_blocks(block_fn, n: int, seed, workers: int = 1) -> list:
     """``block_fn(root.substream(j), m, start)`` for each block ``j`` of
     ``m`` trials from trial ``start`` on, in block order.
 
     The ``n`` trials fill blocks of ``BLOCK_SIZE``, the last one takes the
     rest; ``seed`` is an int or the root :class:`RandomStream`.  The blocks
-    run on ``min(workers, blocks)`` threads, inline when that is 1: each
-    thread claims the next unclaimed block until none is left and stores
-    its result at the block's index.
+    run through :func:`_map_indexed` on ``workers`` threads, or inline for
+    one worker or one block.
     """
     n, workers = _checked(n, workers)
     root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     sizes = _block_lengths(n, BLOCK_SIZE)
-    threads = min(workers, len(sizes))
-    if threads == 1:
+    if workers == 1 or len(sizes) == 1:
         return [block_fn(root.substream(j), m, j * BLOCK_SIZE) for j, m in enumerate(sizes)]
-    results = [None] * len(sizes)
-    claims = itertools.count()  # its ``next`` is atomic under the GIL
-
-    def work():
-        for j in claims:
-            if j >= len(sizes):
-                return
-            results[j] = block_fn(root.substream(j), sizes[j], j * BLOCK_SIZE)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for task in [pool.submit(work) for _ in range(threads)]:
-            task.result()
-    return results
+    return _map_indexed(
+        lambda j: block_fn(root.substream(j), sizes[j], j * BLOCK_SIZE), len(sizes), workers
+    )
 
 
 def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -339,8 +365,9 @@ def _snap_points(rs: RandomStream, elastic: ElasticSpec, m: int) -> np.ndarray:
 def _resolve(lam: np.ndarray, t, rs: RandomStream) -> np.ndarray:
     """Vectorized outcome rule with fair-coin ties; True means O1.
 
-    ``t`` is a scalar or an array of axis coordinates.  One coin is drawn
-    from ``rs`` per exact tie, in index order, and only when ties occur.
+    ``lam`` and ``t`` are scalars or arrays.  One coin is drawn from ``rs``,
+    a stream or a generator, per exact tie, in index order, and only when
+    ties occur.
     """
     up = lam < t
     tie = lam == t
@@ -420,13 +447,16 @@ _NO_DRAWS = np.zeros(BLOCK_SIZE)
 _NO_DRAWS.flags.writeable = False
 
 
-def _draws(rs: RandomStream, elastic: ElasticSpec, m: int) -> np.ndarray:
-    """The ``m`` doubles that place a block's snap points.  At eps = 0 the
-    snap point is d whatever the draw, so nothing is drawn and zeros stand
-    in."""
+def _draws(rs: RandomStream, elastic: ElasticSpec, m: int, spent=None) -> np.ndarray:
+    """The ``m`` doubles that place a block's snap points, drawn into
+    ``spent``, a buffer of ``m`` doubles no longer needed, when it is given
+    and writable.  At eps = 0 the snap point is d whatever the draw, so
+    nothing is drawn and zeros stand in."""
     if elastic.epsilon == 0.0:
         return _NO_DRAWS[:m]
-    return rs.random(m)
+    if spent is None or not spent.flags.writeable:
+        return rs.random(m)
+    return rs._generator().random(out=spent)
 
 
 def _resolve_cut(u: np.ndarray, cut, rs: RandomStream, flip=None, flip_cut=None) -> np.ndarray:

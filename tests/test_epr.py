@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+import qmachine.sampler
 from qmachine.analytic import epsilon_probabilities
 from qmachine.epr import (
     TSIRELSON_ANGLES_DEG,
@@ -30,6 +31,7 @@ from qmachine.sampler import (
     RandomStream,
     _map_blocks,
     _resolve,
+    _scaled,
     _snap_points,
     run_trials,
 )
@@ -518,6 +520,105 @@ class TestSeveredRod:
         n = 50_000
         best = severed_chsh_scan(ElasticSpec(1.0, 0.0), angles_count=6, n=n, seed=54)
         assert best <= 2.0 + 4.0 * (2.0 / math.sqrt(n))
+
+    def test_scan_does_not_depend_on_workers(self):
+        n = BLOCK_SIZE + 9
+        scans = [
+            severed_chsh_scan(ElasticSpec(0.5, 0.1), 3, n, seed=58, workers=w) for w in (1, 2, 3)
+        ]
+        assert scans[0].hex() == scans[1].hex() == scans[2].hex()
+
+    @pytest.mark.parametrize("count, error", [
+        (0, ValueError), (-1, ValueError), (2.5, TypeError), ("3", TypeError), (True, TypeError),
+    ])
+    def test_scan_rejects_bad_angles_count(self, count, error):
+        with pytest.raises(error, match="^angles_count must be"):
+            severed_chsh_scan(ElasticSpec(1.0, 0.0), angles_count=count, n=10)
+
+    @pytest.mark.parametrize("n, workers, error, match", [
+        (0, 2, ValueError, "need at least one trial"),
+        (10.0, 2, TypeError, "^n must be an integer"),
+        (10, 0, ValueError, "workers must be positive"),
+        (10, 1.5, TypeError, "^workers must be an integer"),
+    ])
+    def test_scan_checks_n_and_workers_before_threads(self, monkeypatch, n, workers, error, match):
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(qmachine.sampler, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(error, match=match):
+            severed_chsh_scan(ElasticSpec(1.0, 0.0), 2, n, workers=workers)
+
+
+class GridStream(RandomStream):
+    """Stands in for a block's stream: draw number ``p`` is a pure function
+    of ``p`` and the spawn key on the grid k/8, so states, snap points and
+    coins tie often.  ``generator_at`` and ``_generator`` follow the same
+    draw sequence as the stream."""
+
+    def __init__(self, seed, spawn_key=(), position=0):
+        super().__init__(seed, spawn_key)
+        self.position = position
+
+    def substream(self, index):
+        return GridStream(self.seed, self.spawn_key + (index,))
+
+    def _generator(self):
+        return self
+
+    def generator_at(self, offset):
+        return GridStream(self.seed, self.spawn_key, offset)
+
+    def random(self, size=None, out=None):
+        m = len(out) if out is not None else (size or 1)
+        # splitmix64 of (position, key), top three bits
+        x = np.arange(self.position, self.position + m, dtype=np.uint64)
+        self.position += m
+        x += np.uint64((self.seed + 97 * sum(self.spawn_key)) * 0x9E3779B97F4A7C15 % 2**64)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+        u = (x >> np.uint64(61)) / 8.0
+        if out is not None:
+            out[:] = u
+            return out
+        return u if size is not None else float(u[0])
+
+
+def four_array_severed(elastic, n, seed, ties):
+    """severed_correlation_mc in its four-array form: both wings' states,
+    then both wings' snap points, drawn in full before either is resolved.
+    Adds each block's exact ties to ``ties``."""
+
+    def run_block(rs, m, _start):
+        t_left = _scaled(rs.random(m), -1.0, 1.0)
+        t_right = _scaled(rs.random(m), -1.0, 1.0)
+        lam_l = _snap_points(rs, elastic, m)
+        lam_r = _snap_points(rs, elastic, m)
+        ties.append(int(np.count_nonzero(lam_l == t_left) + np.count_nonzero(lam_r == t_right)))
+        a_up = _resolve(lam_l, t_left, rs)
+        b_up = _resolve(lam_r, t_right, rs)
+        return int(np.count_nonzero(a_up == b_up))
+
+    same = sum(_map_blocks(run_block, n, seed))
+    return (2 * same - n) / n
+
+
+class TestSeveredForcedTies:
+    @pytest.mark.parametrize("band", [
+        ElasticSpec(1.0, 0.0), ElasticSpec(0.5, 0.25), ElasticSpec(0.25, -0.5),
+        ElasticSpec(0.0, 0.5), ElasticSpec(0.0, 0.0),
+    ])
+    @pytest.mark.parametrize("n", [1, 7, 1000, BLOCK_SIZE + 5])
+    def test_matches_four_array_form(self, band, n):
+        ties = []
+        expected = four_array_severed(band, n, GridStream(3), ties)
+        for workers in (1, 2):
+            assert severed_correlation_mc(band, n, GridStream(3), workers) == expected
+        if n >= 1000:
+            assert sum(ties) > n // 20
 
 
 # Two full blocks and a partial third one.

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import qmachine.epr
 import qmachine.sampler
 from qmachine.analytic import epsilon_probabilities, probabilities_from_axis
-from qmachine.epr import joint_counts, plane_direction, severed_chsh_scan
+from qmachine.epr import ChshSetting, chsh_estimate, joint_counts, plane_direction, severed_chsh_scan
 from qmachine.geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordinate
 from qmachine.sampler import (
     BLOCK_SIZE,
@@ -23,6 +24,7 @@ from qmachine.sampler import (
     _cut,
     _draws,
     _map_blocks,
+    _map_indexed,
     _resolve,
     _resolve_cut,
     _snap_points,
@@ -137,6 +139,14 @@ class TestRandomStream:
             mine, reference = draw_both(rs, gen, kind, size)
             assert np.array_equal(mine, reference)
 
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3, 5, 2 * 1000 + 3])
+    def test_generator_at_is_the_tail_of_one_long_draw(self, offset):
+        rs = RandomStream(31, spawn_key=(4, 2))
+        tail = rs.generator_at(offset).random(1000)
+        assert np.array_equal(tail, eager_generator(31, (4, 2)).random(offset + 1000)[offset:])
+        # the stream's own draws still start at draw 0
+        assert np.array_equal(rs.random(5), eager_generator(31, (4, 2)).random(5))
+
     def test_uniformity(self):
         # 20-bin chi-square on 1e6 doubles; df = 19, 43.8 is the 99.9% point
         draws = RandomStream(55).random(1_000_000)
@@ -182,9 +192,10 @@ class TestGeneratorBuilds:
         assert builds[0] == 3
 
     def test_severed_scan_builds_one_per_block(self, builds):
-        # 2 x 2 correlation estimates of 2 blocks each
+        # 2 x 2 correlation estimates of 2 blocks each; a block of a band
+        # with eps > 0 builds a second generator for its snap points
         severed_chsh_scan(ElasticSpec(1.0, 0.0), angles_count=2, n=BLOCK_SIZE + 1)
-        assert builds[0] == 8
+        assert builds[0] == 16
 
     def test_certain_outcomes_build_none(self, builds):
         # the band [-0.3, 0.7] lies wholly below 0.8 and above -0.5
@@ -722,7 +733,8 @@ def expected_ids(n):
 
 class TestDispatcher:
     """``_map_blocks`` starts one task per thread, never more threads than
-    blocks, and no pool for a call that fits one thread."""
+    blocks, the calling thread one of them, and no pool for a call that fits
+    one thread."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -746,8 +758,8 @@ class TestDispatcher:
     def test_one_task_per_thread(self, pools, workers, n, threads):
         assert _map_blocks(block_id, n, RandomStream(3), workers) == expected_ids(n)
         [pool] = pools
-        assert pool.max_workers == threads
-        assert len(pool.tasks) == threads
+        assert pool.max_workers == threads - 1
+        assert len(pool.tasks) == threads - 1
 
     @pytest.mark.parametrize("workers", [1, 2, 8, 10**6])
     def test_one_block_runs_inline(self, pools, workers):
@@ -767,7 +779,7 @@ class TestDispatcher:
         assert pools == []
         # a draw that decides the outcome takes the threads again
         run_trials(direction_at(0.3), Z, band, n, 5, workers=8)
-        assert [pool.max_workers for pool in pools] == [3]
+        assert [pool.max_workers for pool in pools] == [2]
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_certain_call_still_checks_workers(self, pools, workers):
@@ -799,6 +811,55 @@ class TestDispatcher:
         assert _map_blocks(slow_early_blocks, n, 4, workers=3) == expected_ids(n)
         assert 1 <= len(ran_on) <= 3
 
+    def test_caller_is_a_worker(self, pools):
+        assert _map_indexed(lambda i: i * i, 4, 2) == [0, 1, 4, 9]
+        assert [(pool.max_workers, len(pool.tasks)) for pool in pools] == [(1, 1)]
+        assert _map_indexed(lambda i: i, 3, 1) == [0, 1, 2]
+        assert _map_indexed(lambda i: i, 1, 8) == [0]
+        assert len(pools) == 1
+
+    def test_caller_and_pool_thread_run_at_once(self):
+        # each task waits until the other has started: one thread alone
+        # would time out
+        both = threading.Barrier(2, timeout=10)
+
+        def meet(i):
+            both.wait()
+            return threading.get_ident()
+
+        ran_on = _map_indexed(meet, 2, 2)
+        assert threading.get_ident() in ran_on and len(set(ran_on)) == 2
+
+    def test_caller_exception_propagates(self):
+        both = threading.Barrier(2, timeout=10)
+        caller = threading.get_ident()
+
+        def fail_on_caller(i):
+            both.wait()
+            if threading.get_ident() == caller:
+                raise RuntimeError("caller's task failed")
+            return i
+
+        with pytest.raises(RuntimeError, match="caller's task failed"):
+            _map_indexed(fail_on_caller, 2, 2)
+
+    def test_every_index_runs_once_under_contention(self):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a claim taken twice or lost shows in ``ran``
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ran = []
+
+            def record(i):
+                ran.append(i)
+                return -i
+
+            assert _map_indexed(record, 3000, 6) == [-i for i in range(3000)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(3000))
+
     def test_thread_exception_propagates(self):
         def fail_at_last(rs, m, start):
             if rs.spawn_key == (2,):
@@ -822,11 +883,14 @@ class TestArgumentTypes:
             lambda n, w: run_trials(Z, Z, BAND, n, 1, w),  # certain
             lambda n, w: joint_counts(plane_direction(0.0), plane_direction(1.0), BAND, n, 1, w),
             lambda n, w: qmachine.epr.severed_correlation_mc(BAND, n, 1, w),
+            lambda n, w: chsh_estimate(
+                ChshSetting.from_plane_degrees(0.0, 90.0, 225.0, 135.0), BAND, n, 1, w
+            ),
         ],
-        ids=["run_trials", "run_trials-certain", "joint_counts", "severed"],
+        ids=["run_trials", "run_trials-certain", "joint_counts", "severed", "chsh_estimate"],
     )
     def test_kernels_check_types(self, call):
-        for n in (1e3, 1000.0, "1000", True, np.bool_(True), None):
+        for n in (1e3, 1000.0, "1000", "100", True, np.bool_(True), None):
             with pytest.raises(TypeError, match=r"^n must be an integer"):
                 call(n, 1)
         for workers in (2.5, 2.0, True, np.bool_(True), "2"):
