@@ -33,13 +33,14 @@ from .epr import (
 )
 from .geometry import Direction, ElasticSpec, Outcome
 from .harness import ExperimentConfig, run
-from .sampler import RandomStream, run_trials
+from .sampler import RandomStream, _map_indexed, run_trials
 
 ROOT2 = math.sqrt(2.0)
-# Threads for the heaviest Monte Carlo lines (1, 4 and 7): the smallest
-# count that runs the threaded path, one block of memory more, and the same
-# result on any machine.  Lines 2 and 6 are many calls of a few blocks each,
-# where threads cost more than they save.
+# Threads for the Monte Carlo lines: the smallest count that runs the
+# threaded path, one block of memory more, and the same result on any
+# machine.  Lines 1, 4 and 7 spread each call's blocks over them; lines 2
+# and 6, many calls of a few blocks each, run whole calls on them, one call
+# per task, each on its own substream.
 WORKERS = 2
 
 
@@ -84,20 +85,25 @@ def criterion_2_piecewise_band() -> CriterionResult:
     n = 200_000
     u = Direction(0.0, 0.0, 1.0)
     root = RandomStream(1002)
+    cases = [
+        (ElasticSpec(eps, d), Direction(math.sqrt(max(0.0, 1.0 - t * t)), 0.0, t))
+        for eps, d in ((0.5, 0.2), (0.3, -0.4), (1.0, 0.0))
+        for t in np.linspace(-1.0, 1.0, 21)
+    ]
+
+    def frequency(index):
+        elastic, v = cases[index]
+        return run_trials(v, u, elastic, n, root.substream(index)).frequency(Outcome.O1)
+
     worst_sigma, exact_ok = 0.0, True
-    index = 0
-    for eps, d in ((0.5, 0.2), (0.3, -0.4), (1.0, 0.0)):
-        elastic = ElasticSpec(eps, d)
-        for t in np.linspace(-1.0, 1.0, 21):
-            v = Direction(math.sqrt(max(0.0, 1.0 - t * t)), 0.0, t)
-            p1 = epsilon_probabilities(v, u, elastic).p1
-            freq = run_trials(v, u, elastic, n, root.substream(index)).frequency(Outcome.O1)
-            index += 1
-            if p1 == 0.0 or p1 == 1.0:
-                exact_ok = exact_ok and freq == p1
-            else:
-                sigma = math.sqrt(p1 * (1.0 - p1) / n)
-                worst_sigma = max(worst_sigma, abs(freq - p1) / sigma)
+    freqs = _map_indexed(frequency, len(cases), WORKERS)
+    for (elastic, v), freq in zip(cases, freqs):
+        p1 = epsilon_probabilities(v, u, elastic).p1
+        if p1 == 0.0 or p1 == 1.0:
+            exact_ok = exact_ok and freq == p1
+        else:
+            sigma = math.sqrt(p1 * (1.0 - p1) / n)
+            worst_sigma = max(worst_sigma, abs(freq - p1) / sigma)
     return _result(
         "2-piecewise-band", exact_ok and worst_sigma <= 4.0,
         f"deterministic regimes exact: {exact_ok}; worst stochastic deviation "
@@ -192,19 +198,20 @@ def criterion_6_no_signaling() -> CriterionResult:
     """Wing marginals stay at 1/2 regardless of the remote setting."""
     n = 100_000
     bound = 4.0 * math.sqrt(0.25 / n)
-    worst = 0.0
     root = RandomStream(1006)
-    index = 0
-    for eps in (1.0, 0.5):
-        elastic = ElasticSpec(eps, 0.0)
-        a = plane_direction(0.3)
-        for k in range(10):
-            b = plane_direction(0.1 + 0.31 * k)
-            counts = joint_counts(a, b, elastic, n, root.substream(index))
-            index += 1
-            left_up = counts[(Outcome.O1, Outcome.O1)] + counts[(Outcome.O1, Outcome.O2)]
-            right_up = counts[(Outcome.O1, Outcome.O1)] + counts[(Outcome.O2, Outcome.O1)]
-            worst = max(worst, abs(left_up / n - 0.5), abs(right_up / n - 0.5))
+    a = plane_direction(0.3)
+    cases = [(ElasticSpec(eps, 0.0), plane_direction(0.1 + 0.31 * k))
+             for eps in (1.0, 0.5) for k in range(10)]
+
+    def counts(index):
+        elastic, b = cases[index]
+        return joint_counts(a, b, elastic, n, root.substream(index))
+
+    worst = 0.0
+    for c in _map_indexed(counts, len(cases), WORKERS):
+        left_up = c[(Outcome.O1, Outcome.O1)] + c[(Outcome.O1, Outcome.O2)]
+        right_up = c[(Outcome.O1, Outcome.O1)] + c[(Outcome.O2, Outcome.O1)]
+        worst = max(worst, abs(left_up / n - 0.5), abs(right_up / n - 0.5))
     return _result(
         "6-no-signaling", worst <= bound,
         f"worst marginal deviation {worst:.4f} (tol {bound:.4f})",

@@ -196,10 +196,9 @@ def joint_counts(
     second_cut, flipped_cut = _cut(second_el, t_ab), _cut(second_el, -t_ab)
 
     def run_block(rs: RandomStream, m: int, _start: int):
-        u = _draws(rs, first_el, m)
-        first_up = _resolve_cut(u, first_cut, rs)
+        first_up = _resolve_cut(_draws(rs, first_el, m), first_cut, rs)
         second_up = _resolve_cut(
-            _draws(rs, second_el, m, spent=u), second_cut, rs, flip=first_up, flip_cut=flipped_cut
+            _draws(rs, second_el, m), second_cut, rs, flip=first_up, flip_cut=flipped_cut
         )
         a_up, b_up = (first_up, second_up) if order == "left" else (second_up, first_up)
         pp = int(np.count_nonzero(a_up & b_up))

@@ -21,15 +21,19 @@ of counts, which commutes.  Philox is counter-based, so
 ``generator_at(offset)`` starts a second generator at any draw of a stream
 without drawing the ones before it.
 
-Within a block the draw order is fixed: one double per snap point, then one
-coin per exact tie, in trial order, and only when ties occur.  A snap point
-is ``lo + w * u`` for the stream's double ``u = k * 2**-53``, with
+Within a block the draw order is fixed: one draw per snap point, then one
+coin per exact tie, in trial order, and only when ties occur.  Each draw is
+one 64-bit Philox word ``x``; numpy's ``random`` turns it into the double
+``u = k * 2**-53`` with ``k = x >> 11``, and ``words`` hands out the word
+itself, from the same counter.  A snap point is ``lo + w * u``, with
 ``lo = d - eps`` and ``w = (d + eps) - lo`` rounded as numpy's ``uniform``
 rounds them.  Each rounding step is monotone, so the snap point never
 decreases in ``k``; where the particle's axis coordinate ``t`` is one number
 for the whole call, :func:`_cut` finds once the two draws at which the snap
-point reaches ``t`` and passes it, and a block reads its outcomes from its
-doubles directly (:func:`_resolve_cut`).  The outcomes are those of the snap
+point reaches ``t`` and passes it.  A cut ``c = K * 2**-53`` is ``u < c``
+exactly when ``x < K << 11``, so a block reads its outcomes from its words
+directly (:func:`_resolve_cut`) and never builds a double; a tie coin is
+``x < 2**63``, which is ``u < 0.5``.  The outcomes are those of the snap
 points, bit for bit, as long as numpy forms ``lo + w * u`` in two separately
 rounded steps rather than one fused multiply-add.
 """
@@ -82,8 +86,11 @@ class RandomStream:
 
     def generator_at(self, offset: int) -> np.random.Generator:
         """A new generator of this stream's draws from draw ``offset`` on,
-        counting one per double from the stream's first draw; the stream's
-        own generator does not move."""
+        counting one per double or word from the stream's first draw; the
+        stream's own generator does not move."""
+        offset = _whole(offset, "offset")
+        if offset < 0:
+            raise ValueError(f"offset must be non-negative, got {offset}")
         bits = np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=self.spawn_key))
         bits.advance(offset // 4)  # one Philox counter step makes four draws
         bits.random_raw(offset % 4)
@@ -96,6 +103,11 @@ class RandomStream:
     def random(self, size=None):
         """Uniform doubles on [0, 1)."""
         return self._generator().random(size)
+
+    def words(self, size: int) -> np.ndarray:
+        """The next ``size`` raw 64-bit Philox words (uint64): the draws
+        ``random`` would turn into doubles ``(x >> 11) * 2**-53``."""
+        return self._generator().bit_generator.random_raw(size)
 
     def uniform(self, low: float, high: float, size=None):
         """Uniform doubles on [low, high)."""
@@ -442,26 +454,43 @@ def _cut(elastic: ElasticSpec, t: float) -> tuple[float, float]:
     return below * _STEP, upto * _STEP
 
 
-# Stand-in draws of a rigid band, shared read-only by every block
-_NO_DRAWS = np.zeros(BLOCK_SIZE)
+# Stand-in words of a rigid band, shared read-only by every block
+_NO_DRAWS = np.zeros(BLOCK_SIZE, dtype=np.uint64)
 _NO_DRAWS.flags.writeable = False
+# the last word: a cut of 1.0 is the bound 2**64, which no uint64 holds
+_LAST_WORD = np.uint64(2**64 - 1)
+# a word below 2**63 is a double below 0.5: a tie coin that comes up O1
+_HALF = np.uint64(1 << 63)
 
 
-def _draws(rs: RandomStream, elastic: ElasticSpec, m: int, spent=None) -> np.ndarray:
-    """The ``m`` doubles that place a block's snap points, drawn into
-    ``spent``, a buffer of ``m`` doubles no longer needed, when it is given
-    and writable.  At eps = 0 the snap point is d whatever the draw, so
-    nothing is drawn and zeros stand in."""
+def _draws(rs: RandomStream, elastic: ElasticSpec, m: int) -> np.ndarray:
+    """The ``m`` words that place a block's snap points.  At eps = 0 the
+    snap point is d whatever the draw, so nothing is drawn and zeros stand
+    in."""
     if elastic.epsilon == 0.0:
         return _NO_DRAWS[:m]
-    if spent is None or not spent.flags.writeable:
-        return rs.random(m)
-    return rs._generator().random(out=spent)
+    return rs.words(m)
 
 
-def _resolve_cut(u: np.ndarray, cut, rs: RandomStream, flip=None, flip_cut=None) -> np.ndarray:
-    """:func:`_resolve` on the snap points of the draws ``u``, read from the
-    draws through ``cut = _cut(elastic, t)``; True means O1.
+def _below(x: np.ndarray, c: float) -> np.ndarray:
+    """Which words ``x`` are doubles below the cut ``c = K * 2**-53``:
+    ``x < K << 11``, or every word for ``c = 1.0``.  The bound is passed as
+    an in-range ``np.uint64``, so the compare never depends on how numpy
+    promotes Python ints."""
+    k = int(c * _DRAWS)
+    if k == _DRAWS:
+        return x <= _LAST_WORD
+    return x < np.uint64(k << 11)
+
+
+def _coins(rs: RandomStream, k: int) -> np.ndarray:
+    """``k`` fair tie coins, True for O1: ``rs.random(k) < 0.5`` bit for bit."""
+    return rs.words(k) < _HALF
+
+
+def _resolve_cut(x: np.ndarray, cut, rs: RandomStream, flip=None, flip_cut=None) -> np.ndarray:
+    """:func:`_resolve` on the snap points of the words ``x``, read from the
+    words through ``cut = _cut(elastic, t)``; True means O1.
 
     Where the bool mask ``flip`` is set, ``flip_cut``, the cut of ``-t``,
     applies instead.  Tie coins are drawn as in :func:`_resolve`; the tie
@@ -469,21 +498,21 @@ def _resolve_cut(u: np.ndarray, cut, rs: RandomStream, flip=None, flip_cut=None)
     trial ties takes its coins as its outcomes.
     """
     below, upto = cut
-    up = u < below
+    up = _below(x, below)
     ties = upto > below
     if flip is not None:
-        up ^= (up ^ (u < flip_cut[0])) & flip
+        up ^= (up ^ _below(x, flip_cut[0])) & flip
         ties = ties or flip_cut[1] > flip_cut[0]
     if ties:
-        tie = u < upto
+        tie = _below(x, upto)
         if flip is not None:
-            tie ^= (tie ^ (u < flip_cut[1])) & flip
+            tie ^= (tie ^ _below(x, flip_cut[1])) & flip
         tie ^= up  # a draw below its cut is below its tie bound too
         k = np.count_nonzero(tie)
         if k == len(up):
-            return rs.random(k) < 0.5
+            return _coins(rs, k)
         if k:
-            up[tie] = rs.random(k) < 0.5
+            up[tie] = _coins(rs, k)
     return up
 
 
@@ -541,7 +570,11 @@ def run_recorded(
             lam.fill(elastic.d)
             o1[start:start + m] = _resolve_cut(_NO_DRAWS[:m], cut, rs)
         else:
-            o1[start:start + m] = _resolve_cut(rs._generator().random(out=lam), cut, rs)
+            x = rs.words(m)
+            o1[start:start + m] = _resolve_cut(x, cut, rs)
+            # the doubles of ``random``: (x >> 11) * 2**-53, exact in int64
+            x >>= np.uint64(11)
+            np.multiply(x.view(np.int64), _STEP, out=lam)
             _scaled(lam, elastic.break_lower, elastic.break_upper)
 
     _map_blocks(record_block, n, seed)

@@ -16,7 +16,13 @@ the bounds, the plateau value 4 at eps = 0.5, and that the open interval
 
 import pytest
 
-from qmachine.acceptance import ROOT2, run_battery
+from qmachine import acceptance
+from qmachine.acceptance import (
+    ROOT2,
+    criterion_2_piecewise_band,
+    criterion_6_no_signaling,
+    run_battery,
+)
 from qmachine.epr import TSIRELSON_ANGLES_DEG, ChshSetting, chsh_analytic, max_chsh
 from qmachine.geometry import ElasticSpec
 
@@ -99,3 +105,12 @@ def test_criterion_10_nonlinearity(battery):
 
 def test_criterion_11_determinism(battery):
     check(battery, "11-determinism")
+
+
+@pytest.mark.parametrize("criterion", [criterion_2_piecewise_band, criterion_6_no_signaling])
+def test_lines_run_as_whole_calls_on_threads_give_the_serial_result(battery, monkeypatch, criterion):
+    # each call keeps its substream and its place in the results
+    assert acceptance.WORKERS > 1
+    monkeypatch.setattr(acceptance, "WORKERS", 1)
+    serial = criterion()
+    assert serial == battery[serial.name]

@@ -21,6 +21,7 @@ from qmachine.sampler import (
     TrialRecord,
     TrialRecords,
     _block_lengths,
+    _coins,
     _cut,
     _draws,
     _map_blocks,
@@ -146,6 +147,50 @@ class TestRandomStream:
         assert np.array_equal(tail, eager_generator(31, (4, 2)).random(offset + 1000)[offset:])
         # the stream's own draws still start at draw 0
         assert np.array_equal(rs.random(5), eager_generator(31, (4, 2)).random(5))
+
+    def test_words_are_the_doubles_of_random(self):
+        x = RandomStream(21, spawn_key=(3,)).words(20_000)
+        u = RandomStream(21, spawn_key=(3,)).random(20_000)
+        assert x.dtype == np.uint64
+        doubles = (x >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(doubles.view(np.uint64), u.view(np.uint64))
+
+    def test_word_coins_are_the_double_coins(self):
+        coins = RandomStream(22).words(20_000) < np.uint64(1 << 63)
+        assert np.array_equal(coins, RandomStream(22).random(20_000) < 0.5)
+        assert np.array_equal(_coins(RandomStream(22), 20_000), coins)
+        assert 9_000 < coins.sum() < 11_000
+
+    def test_words_random_and_generator_at_read_one_sequence(self):
+        rs = RandomStream(23, spawn_key=(1, 5))
+        whole = eager_generator(23, (1, 5)).random(23)
+
+        def doubles(x):
+            return (x >> np.uint64(11)) * 2.0**-53
+
+        assert np.array_equal(doubles(rs.words(7)), whole[:7])
+        assert np.array_equal(rs.random(6), whole[7:13])
+        # a generator at draw 13 reads on; the stream stays at draw 13
+        assert np.array_equal(rs.generator_at(13).random(9), whole[13:22])
+        assert np.array_equal(doubles(rs.words(5)), whole[13:18])
+        assert np.array_equal(doubles(rs.generator_at(18).bit_generator.random_raw(2)), whole[18:20])
+        assert np.array_equal(rs.random(3), whole[18:21])
+        rs.words(1)
+        assert rs.random() == whole[22]
+
+    @pytest.mark.parametrize("offset, error, match", [
+        (-1, ValueError, "^offset must be non-negative"),
+        (True, TypeError, "^offset must be an integer"),
+        (2.5, TypeError, "^offset must be an integer"),
+        ("3", TypeError, "^offset must be an integer"),
+    ])
+    def test_generator_at_rejects_bad_offsets(self, offset, error, match):
+        with pytest.raises(error, match=match):
+            RandomStream(31).generator_at(offset)
+
+    def test_generator_at_takes_numpy_integers(self):
+        tail = RandomStream(31).generator_at(np.int64(6)).random(4)
+        assert np.array_equal(tail, eager_generator(31).random(10)[6:])
 
     def test_uniformity(self):
         # 20-bin chi-square on 1e6 doubles; df = 19, 43.8 is the 99.9% point
@@ -634,6 +679,60 @@ class TestTieRule:
         assert not _resolve_cut(_draws(rs, band, 10), _cut(band, 0.1), rs).any()
         assert _resolve_cut(_draws(rs, band, 10), _cut(band, 0.3), rs).all()
         assert rs.random() == fresh.random()
+
+
+class TestEdgeCuts:
+    """Cuts of 0.0 and 1.0 through :func:`_resolve_cut`: a cut of 1.0 is
+    the word bound 2**64, which no uint64 holds, so it must admit every word
+    up to the last one without an out-of-range compare."""
+
+    EXTREMES = np.array([0, 1, (1 << 11) - 1, 1 << 11, 1 << 63, 2**64 - 1], dtype=np.uint64)
+
+    def test_extreme_words(self):
+        rs = RandomStream(40)
+        assert _resolve_cut(self.EXTREMES, (1.0, 1.0), rs).all()
+        assert not _resolve_cut(self.EXTREMES, (0.0, 0.0), rs).any()
+        step = 2.0**-53
+        got = _resolve_cut(self.EXTREMES, (step, step), rs)
+        assert got.tolist() == [True, True, True, False, False, False]
+        got = _resolve_cut(self.EXTREMES, (1.0 - step, 1.0 - step), rs)
+        assert got.tolist() == [True] * 5 + [False]
+        flip = np.array([True, False] * 3)
+        got = _resolve_cut(self.EXTREMES, (1.0, 1.0), rs, flip=flip, flip_cut=(0.0, 0.0))
+        assert np.array_equal(got, ~flip)
+        # no cut had room for ties, so no coin was drawn
+        assert rs.random() == RandomStream(40).random()
+
+    @pytest.mark.parametrize("eps, d, t, expected", [
+        (1.0, 0.0, 1.0, True),  # every snap point lies below t = 1
+        (1.0, 0.0, -1.0, False),  # and none below t = -1
+        (0.0, 0.2, 0.5, True),  # a rigid band below t
+        (0.0, 0.2, -0.5, False),  # and above it
+        (0.0, 0.2, 0.2, None),  # and on it: every trial is a coin
+    ])
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_edge_cuts_match_snap_points(self, eps, d, t, expected, flipped):
+        band, m = ElasticSpec(eps, d), 5_000
+        ref_rs, cut_rs = RandomStream(41), RandomStream(41)
+        lam = _snap_points(ref_rs, band, m)
+        flip = np.random.default_rng(41).random(m) < 0.5 if flipped else None
+        if flip is None:
+            expected_up = _resolve(lam, t, ref_rs)
+            got = _resolve_cut(_draws(cut_rs, band, m), _cut(band, t), cut_rs)
+        else:
+            expected_up = _resolve(lam, np.where(flip, -t, t), ref_rs)
+            got = _resolve_cut(
+                _draws(cut_rs, band, m), _cut(band, t), cut_rs, flip=flip, flip_cut=_cut(band, -t)
+            )
+        assert np.array_equal(got, expected_up)
+        assert cut_rs.random() == ref_rs.random()
+        if expected is None:
+            assert 0 < got.sum() < m
+        elif flip is None:
+            assert got.all() if expected else not got.any()
+        else:
+            # -t lies on the other side of the band
+            assert np.array_equal(got, ~flip if expected else flip)
 
 
 class TestDrawArithmetic:
