@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import minimize
+# Unused: bench/run.py::import_layer reads its import time unguarded.
+import scipy.optimize  # noqa: F401
 
 from .analytic import _clamp_law
 from .geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordinate
@@ -361,33 +362,16 @@ def _grid_max(eps: float, resolution_deg: float):
 def max_chsh(elastic: ElasticSpec, resolution_deg: float = 1.0) -> ChshOptimum:
     """Maximize |S| over coplanar settings.
 
-    The grid maximum of :func:`_grid_max` at ``resolution_deg`` is polished
-    by a Nelder-Mead local search (eps > 0) and then compared with the
-    Tsirelson setting, which wins ties.
+    The grid maximum of :func:`_grid_max` at ``resolution_deg`` is compared
+    with the Tsirelson setting, which wins ties.  That setting attains the
+    optimum min(4, 2*sqrt(2)/eps) at every eps, so no local search follows:
+    one could only beat it by rounding error.
     """
     if elastic.d != 0.0:
         raise ValueError("pair correlations require an unbiased band (d = 0)")
     if not resolution_deg >= MIN_RESOLUTION_DEG:
         raise ValueError(f"resolution must be at least {MIN_RESOLUTION_DEG} degrees")
-    eps = elastic.epsilon
-    value, sign, *angles = _grid_max(eps, resolution_deg)
-    if eps > 0.0:
-
-        def objective(x):
-            al, be, ga = x
-            e = lambda ang: float(_corr_curve(np.array([ang]), eps)[0])
-            s = e(be) + e(ga) + e(be - al) - e(ga - al)
-            return -sign * s
-
-        res = minimize(
-            objective,
-            x0=angles,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 20000, "maxfev": 20000},
-        )
-        if -res.fun > value:
-            value = -res.fun
-            angles = res.x
+    value, sign, *angles = _grid_max(elastic.epsilon, resolution_deg)
 
     # The Tsirelson setting attains min(4, 2*sqrt(2)/eps) exactly
     # (Cirel'son 1980), scored from its own axes.  A grid maximum is read off

@@ -68,10 +68,10 @@ class RandomStream:
     __slots__ = ("seed", "spawn_key", "_gen")
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
-        seed = int(seed)
+        seed = _whole(seed, "seed")
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
-        spawn_key = tuple(int(k) for k in spawn_key)
+        spawn_key = tuple(_whole(k, "spawn key entry") for k in spawn_key)
         if any(k < 0 for k in spawn_key):
             raise ValueError(f"spawn key entries must be non-negative, got {spawn_key}")
         self.seed = seed
@@ -98,7 +98,7 @@ class RandomStream:
 
     def substream(self, index: int) -> "RandomStream":
         """Independent child stream number ``index``."""
-        return RandomStream(self.seed, self.spawn_key + (int(index),))
+        return RandomStream(self.seed, self.spawn_key + (_whole(index, "index"),))
 
     def random(self, size=None):
         """Uniform doubles on [0, 1)."""
@@ -344,14 +344,12 @@ def _map_blocks(block_fn, n: int, seed, workers: int = 1) -> list:
 
     The ``n`` trials fill blocks of ``BLOCK_SIZE``, the last one takes the
     rest; ``seed`` is an int or the root :class:`RandomStream`.  The blocks
-    run through :func:`_map_indexed` on ``workers`` threads, or inline for
-    one worker or one block.
+    run through :func:`_map_indexed` on ``workers`` threads, which runs
+    them inline for one worker or one block.
     """
     n, workers = _checked(n, workers)
     root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     sizes = _block_lengths(n, BLOCK_SIZE)
-    if workers == 1 or len(sizes) == 1:
-        return [block_fn(root.substream(j), m, j * BLOCK_SIZE) for j, m in enumerate(sizes)]
     return _map_indexed(
         lambda j: block_fn(root.substream(j), sizes[j], j * BLOCK_SIZE), len(sizes), workers
     )

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 
@@ -375,6 +376,25 @@ class TestMaxChsh:
         opt = max_chsh(ElasticSpec(1.0, 0.0))
         assert abs(opt.max_abs_s - 2.0 * ROOT2) <= 1e-9
 
+    @pytest.mark.parametrize("resolution_deg", [1.0, 7.0])
+    def test_quantum_point_stays_at_or_below_tsirelson_bound(self, resolution_deg):
+        opt = max_chsh(ElasticSpec(1.0, 0.0), resolution_deg)
+        assert opt.max_abs_s <= 2.0 * math.sqrt(2.0)
+
+    # Each row the Tsirelson setting attains is the double nearest
+    # 2*sqrt(2)/eps, worked out to 40 digits.
+    @pytest.mark.parametrize(
+        "eps, resolution_deg",
+        [(0.75, 1.0), (0.85, 1.0), (0.95, 1.0), (1.0, 1.0), (0.75, 7.0)],
+    )
+    def test_tsirelson_rows_are_correctly_rounded(self, eps, resolution_deg):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            exact = 2 * decimal.Decimal(2).sqrt() / decimal.Decimal(eps)
+        opt = max_chsh(ElasticSpec(eps, 0.0), resolution_deg)
+        assert opt.angles_deg == TSIRELSON_ANGLES_DEG
+        assert opt.max_abs_s == float(exact)
+
     def test_optimal_setting_reproduces_value(self):
         for eps in (1.0, 0.85, 0.6, 0.0):
             opt = max_chsh(ElasticSpec(eps, 0.0))
@@ -399,7 +419,7 @@ class TestMaxChsh:
         assert abs(chsh_analytic(opt.setting, band) - opt.signed_s) <= 1e-9
 
     def test_angles_are_the_reported_degrees(self):
-        # the Tsirelson setting keeps its exact degrees; a searched optimum
+        # the Tsirelson setting keeps its exact degrees; a grid optimum
         # reports its angles in [0, 360)
         plateau = max_chsh(ElasticSpec(0.5, 0.0))
         assert plateau.angles_deg == TSIRELSON_ANGLES_DEG

@@ -101,6 +101,28 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(5).substream(2).substream(-1)
 
+    # a float or bool is not truncated into some other stream's seed or key
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            pytest.param(lambda: RandomStream(5.7), "seed", id="float-seed"),
+            pytest.param(lambda: RandomStream(True), "seed", id="bool-seed"),
+            pytest.param(
+                lambda: RandomStream(5, spawn_key=(1.9,)), "spawn key entry", id="float-key"
+            ),
+            pytest.param(lambda: RandomStream(5).substream(2.5), "index", id="float-index"),
+        ],
+    )
+    def test_rejects_non_integer_seed_key_and_index(self, make, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            make()
+
+    def test_accepts_numpy_integers(self):
+        rs = RandomStream(np.int64(9), spawn_key=(np.uint8(1),)).substream(np.int64(2))
+        assert (rs.seed, rs.spawn_key) == (9, (1, 2))
+        assert type(rs.seed) is int and all(type(k) is int for k in rs.spawn_key)
+        assert np.array_equal(rs.random(10), RandomStream(9, (1, 2)).random(10))
+
     @pytest.mark.parametrize("key", [(), (0,), (3,), (1, 2), (7, 0, 65), (2**40,)])
     def test_draws_match_eager_reference(self, key):
         rs, gen = stream_at(2024, key), eager_generator(2024, key)
