@@ -14,14 +14,11 @@ kinked ramp, so no linear-operator bookkeeping can represent it.
 import numpy as np
 
 from qmachine import (
-    Direction,
     ElasticSpec,
     expectation_from_axis,
     linearity_deviation,
     probabilities_from_axis,
 )
-
-AXIS = Direction(0.0, 0.0, 1.0)
 
 
 def probability_profiles():
@@ -43,7 +40,7 @@ def expectation_kinks():
     for eps in (1.0, 0.75, 0.5, 0.25, 0.0):
         band = ElasticSpec(eps, 0.0)
         curve = [expectation_from_axis(t, band) for t in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-        dev = linearity_deviation(AXIS, band, 101)
+        dev = linearity_deviation(band)
         shape = "  ".join(f"{e:+.2f}" for e in curve)
         print(f"  eps={eps:4.2f}:  E = [{shape}]   affine deviation = {dev:.4f}")
     print()

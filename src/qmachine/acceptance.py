@@ -24,6 +24,7 @@ from .analytic import (
 )
 from .climit import double_slit_scenario, epsilon_transform, gaussian_grid
 from .epr import (
+    TSIRELSON_ANGLES_DEG,
     ChshSetting,
     chsh_estimate,
     joint_counts,
@@ -140,7 +141,7 @@ def criterion_4_chsh_quantum() -> CriterionResult:
     """At eps = 1 the settings-optimized S is 2*sqrt(2); MC agrees to 0.02."""
     opt = max_chsh(ElasticSpec(1.0, 0.0))
     analytic_err = abs(opt.max_abs_s - 2.8284271247)
-    setting = ChshSetting.from_plane_degrees(0.0, 90.0, 225.0, 135.0)
+    setting = ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG)
     est = chsh_estimate(
         setting, ElasticSpec(1.0, 0.0), 1_000_000, RandomStream(1004), WORKERS
     )
@@ -276,11 +277,10 @@ def criterion_9_double_slit() -> CriterionResult:
 
 def criterion_10_nonlinearity() -> CriterionResult:
     """The expectation curve is affine only for the uniformly breakable band."""
-    u = Direction(0.0, 0.0, 1.0)
-    dev1 = linearity_deviation(u, ElasticSpec(1.0, 0.0), 101)
-    dev_half = linearity_deviation(u, ElasticSpec(0.5, 0.0), 101)
-    dev_quarter = linearity_deviation(u, ElasticSpec(0.25, 0.0), 101)
-    dev0 = linearity_deviation(u, ElasticSpec(0.0, 0.0), 101)
+    dev1 = linearity_deviation(ElasticSpec(1.0, 0.0))
+    dev_half = linearity_deviation(ElasticSpec(0.5, 0.0))
+    dev_quarter = linearity_deviation(ElasticSpec(0.25, 0.0))
+    dev0 = linearity_deviation(ElasticSpec(0.0, 0.0))
     passed = dev1 <= 1e-12 and dev_half > 0.01 and dev_quarter > 0.01 and dev0 > 0.1
     return _result(
         "10-nonlinearity", passed,

@@ -199,18 +199,16 @@ def born_probabilities(state: Spinor, u: Direction) -> ProbabilityPair:
     return ProbabilityPair(p1, p2)
 
 
-def linearity_deviation(u: Direction, elastic: ElasticSpec, samples: int = 101) -> float:
+def linearity_deviation(elastic: ElasticSpec) -> float:
     """Max deviation of the expectation curve from its best affine fit.
 
-    The expectation is scanned over an even grid of axis coordinates
-    t in [-1, 1] (the result does not depend on ``u`` itself) and compared to
-    the least-squares affine fit.  Zero within 1e-12 exactly when the scanned
-    curve is affine, i.e. for epsilon = 1; the clamped ramp (0 < eps < 1) and
-    the step (eps = 0) both deviate by a strictly positive amount.
+    The expectation is scanned at 101 evenly spaced axis coordinates
+    t in [-1, 1] and compared to the least-squares affine fit.  Zero within
+    1e-12 exactly when the scanned curve is affine, i.e. for epsilon = 1;
+    the clamped ramp (0 < eps < 1) and the step (eps = 0) both deviate by a
+    strictly positive amount.
     """
-    if samples < 3:
-        raise ValueError(f"need at least 3 samples, got {samples}")
-    t = np.linspace(-1.0, 1.0, samples)
+    t = np.linspace(-1.0, 1.0, 101)
     e = np.array([expectation_from_axis(float(ti), elastic) for ti in t])
     design = np.column_stack([t, np.ones_like(t)])
     coef, *_ = np.linalg.lstsq(design, e, rcond=None)

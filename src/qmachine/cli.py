@@ -99,10 +99,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if getattr(args, "config", None):
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file is not valid JSON: {exc}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"config file is not valid UTF-8 JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ValidationError("config file must hold a JSON object")
     data["kind"] = args.kind

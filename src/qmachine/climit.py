@@ -216,22 +216,21 @@ def region_mass(grid: DensityGrid, x_lo: float, x_hi: float) -> float:
 # Fixtures
 
 
-def gaussian_grid(
-    num_points: int = 2001, sigma: float = 1.0, center: float = 0.0, half_span: float = 5.0
-) -> DensityGrid:
-    """Gaussian bell sampled on ``num_points`` over center +/- half_span."""
-    x = np.linspace(center - half_span, center + half_span, num_points)
-    v = np.exp(-0.5 * ((x - center) / sigma) ** 2)
+def gaussian_grid(num_points: int = 2001) -> DensityGrid:
+    """Standard normal bell sampled on ``num_points`` over [-5, 5]."""
+    x = np.linspace(-5.0, 5.0, num_points)
+    v = np.exp(-0.5 * x**2)
     dx = float(x[1] - x[0])
     return DensityGrid(float(x[0]), dx, v / (v.sum() * dx))
 
 
-def double_slit_grid(
-    peak_ratio: float = 1.0,
-    num_points: int = 4001,
-    separation: float = 4.0,
-    slit_half_width: float = 1.0,
-) -> DensityGrid:
+# Grid points, hump center distance and hump half width of the two-hump fixture.
+_SLIT_POINTS = 4001
+_SLIT_SEPARATION = 4.0
+_SLIT_HALF_WIDTH = 1.0
+
+
+def double_slit_grid(peak_ratio: float = 1.0) -> DensityGrid:
     """Two raised-cosine humps with exactly zero density between them.
 
     The left hump (slit 1) is ``peak_ratio`` times taller than the right.
@@ -240,15 +239,14 @@ def double_slit_grid(
     """
     if peak_ratio < 1.0:
         raise ValueError(f"peak ratio must be >= 1, got {peak_ratio!r}")
-    if separation <= 2.0 * slit_half_width:
-        raise ValueError("humps must not touch: separation > 2 * slit_half_width")
-    span = separation / 2.0 + 2.0 * slit_half_width
-    x = np.linspace(-span, span, num_points)
+    half = _SLIT_SEPARATION / 2.0
+    span = half + 2.0 * _SLIT_HALF_WIDTH
+    x = np.linspace(-span, span, _SLIT_POINTS)
     v = np.zeros_like(x)
-    for center, height in ((-separation / 2.0, peak_ratio), (separation / 2.0, 1.0)):
-        inside = np.abs(x - center) <= slit_half_width
+    for center, height in ((-half, peak_ratio), (half, 1.0)):
+        inside = np.abs(x - center) <= _SLIT_HALF_WIDTH
         v[inside] += height * np.cos(
-            np.pi * (x[inside] - center) / (2.0 * slit_half_width)
+            np.pi * (x[inside] - center) / (2.0 * _SLIT_HALF_WIDTH)
         ) ** 2
     dx = float(x[1] - x[0])
     with np.errstate(over="ignore"):  # an overflow is reported below
@@ -296,15 +294,9 @@ class DoubleSlitReport:
         }
 
 
-def double_slit_scenario(
-    peak_ratio: float,
-    eps_values,
-    num_points: int = 4001,
-    separation: float = 4.0,
-    slit_half_width: float = 1.0,
-) -> DoubleSlitReport:
+def double_slit_scenario(peak_ratio: float, eps_values) -> DoubleSlitReport:
     """Run the cut transform across ``eps_values`` on the two-hump density."""
-    grid = double_slit_grid(peak_ratio, num_points, separation, slit_half_width)
+    grid = double_slit_grid(peak_ratio)
     x = grid.positions
     argmax = float(x[int(grid.values.argmax())])
     shorter_peak = float(grid.values[x > 0.0].max())

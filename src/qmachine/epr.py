@@ -121,56 +121,28 @@ class ChshSetting:
         )
 
 
-def _wing_bands(elastic: ElasticSpec, left_elastic, order: str):
-    """The bands of the wing measured first and of its partner.
-
-    The left band defaults to the right one's epsilon with d = 0; the band
-    measuring the still-central pair must be unbiased.
-    """
-    if order not in ("left", "right"):
-        raise ValueError(f"order must be 'left' or 'right', got {order!r}")
-    if left_elastic is None:
-        left_elastic = ElasticSpec(elastic.epsilon, 0.0)
-    if left_elastic.d != 0.0:
-        raise ValueError("the source-side elastic must be unbiased (d = 0)")
-    if order == "left":
-        return left_elastic, elastic
-    if elastic.d != 0.0:
-        raise ValueError("right-first order requires an unbiased right band")
-    return elastic, left_elastic
-
-
 def measure_pair(
     pair: EntangledPair,
     a: Direction,
     b: Direction,
     elastic: ElasticSpec,
     rng: RandomStream,
-    left_elastic: ElasticSpec | None = None,
-    order: str = "left",
 ) -> tuple[Outcome, Outcome]:
     """Measure the left wing along ``a`` and the right wing along ``b``.
 
-    ``elastic`` applies to the right wing; ``left_elastic`` (default: same
-    epsilon, d = 0) to the left.  ``order`` selects which wing measures the
-    still-central pair first; the joint outcome distribution is order
-    independent when both wings use the same unbiased band.
-    Returns ``(left outcome, right outcome)``.
+    The left wing measures the still-central pair first, with the band
+    ``ElasticSpec(elastic.epsilon, 0.0)``; ``elastic`` applies to the right
+    wing.  The rod couples the wings symmetrically, so measuring the right
+    wing first is this call with ``b, a`` passed and the outcomes read in
+    reverse.  Returns ``(left outcome, right outcome)``.
     """
     if pair.collapsed:
         raise ValueError("pair has already been measured")
-    first_el, second_el = _wing_bands(elastic, left_elastic, order)
-    snap = sample_break_point(first_el, rng)
-    if order == "left":
-        a_out = outcome_at_axis(0.0, snap, rng)
-        pair.localize_left(a if a_out is Outcome.O1 else -a)
-        b_out, post, _ = measure(pair.right.position, b, second_el, rng)
-        pair.right = post
-    else:
-        b_out = outcome_at_axis(0.0, snap, rng)
-        pair.localize_right(b if b_out is Outcome.O1 else -b)
-        a_out, post, _ = measure(pair.left.position, a, second_el, rng)
-        pair.left = post
+    snap = sample_break_point(ElasticSpec(elastic.epsilon, 0.0), rng)
+    a_out = outcome_at_axis(0.0, snap, rng)
+    pair.localize_left(a if a_out is Outcome.O1 else -a)
+    b_out, post, _ = measure(pair.right.position, b, elastic, rng)
+    pair.right = post
     return a_out, b_out
 
 
@@ -181,27 +153,26 @@ def joint_counts(
     n: int,
     seed,
     workers: int = 1,
-    left_elastic: ElasticSpec | None = None,
-    order: str = "left",
 ) -> dict[tuple[Outcome, Outcome], int]:
     """Joint outcome counts of ``n`` pair measurements, keyed (left, right).
 
-    Block-substream scheme as in :mod:`qmachine.sampler`: results are
-    bit-identical for any worker count.
+    The wings measure as in :func:`measure_pair`, the left one first;
+    right-first counts are this call with ``b, a`` passed and each key read
+    in reverse.  Block-substream scheme as in :mod:`qmachine.sampler`:
+    results are bit-identical for any worker count.
     """
-    first_el, second_el = _wing_bands(elastic, left_elastic, order)
+    left_el = ElasticSpec(elastic.epsilon, 0.0)
     t_ab = axis_coordinate(a, b)
-    first_cut = _cut(first_el, 0.0)
-    # the partner sits at the antipode of the first wing's landing point:
+    left_cut = _cut(left_el, 0.0)
+    # the partner sits at the antipode of the left wing's landing point:
     # axis coordinate -t_ab after an up outcome, t_ab after a down one
-    second_cut, flipped_cut = _cut(second_el, t_ab), _cut(second_el, -t_ab)
+    right_cut, flipped_cut = _cut(elastic, t_ab), _cut(elastic, -t_ab)
 
     def run_block(rs: RandomStream, m: int, _start: int):
-        first_up = _resolve_cut(_draws(rs, first_el, m), first_cut, rs)
-        second_up = _resolve_cut(
-            _draws(rs, second_el, m), second_cut, rs, flip=first_up, flip_cut=flipped_cut
+        a_up = _resolve_cut(_draws(rs, left_el, m), left_cut, rs)
+        b_up = _resolve_cut(
+            _draws(rs, elastic, m), right_cut, rs, flip=a_up, flip_cut=flipped_cut
         )
-        a_up, b_up = (first_up, second_up) if order == "left" else (second_up, first_up)
         pp = int(np.count_nonzero(a_up & b_up))
         return pp, int(np.count_nonzero(a_up)) - pp, int(np.count_nonzero(b_up)) - pp
 

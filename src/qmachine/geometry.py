@@ -64,9 +64,6 @@ class Direction:
     def __neg__(self) -> "Direction":
         return Direction(-self.x, -self.y, -self.z)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
 
 @dataclass(frozen=True)
 class SphereState:

@@ -133,6 +133,12 @@ class ExperimentConfig:
             if (self.density_path is None) == (self.fixture is None):
                 raise ValidationError("climit needs exactly one of density_path or fixture")
             self._eps_values()
+            if self.out_prefix is not None:
+                files = {}  # a cut density is written to PREFIX_eps{eps:g}.csv
+                for eps in self.eps_values:
+                    other = files.setdefault(f"{eps:g}", eps)
+                    if other != eps:
+                        raise ValidationError(f"cut eps {other!r} and {eps!r} share a file name")
         elif self.kind == "doubleslit":
             if self.peak_ratio < 1.0:
                 raise ValidationError(f"peak ratio must be >= 1, got {self.peak_ratio}")

@@ -8,7 +8,7 @@ import sys
 from dataclasses import fields
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmachine.cli import build_parser, config_from_args, main
@@ -88,6 +88,37 @@ class TestConfigFile:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
+
+    def test_non_utf8_config_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
+        rc = run_cli("spin", "--config", str(cfg))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "validation"
+        assert "UTF-8" in err["message"]
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.binary(max_size=16))
+    @example(data=b"\xef\xbb\xbf{}")  # a UTF-8 byte-order mark
+    def test_bytes_that_are_no_json_object_exit_2(self, data, tmp_path, capsys):
+        try:
+            is_object = isinstance(json.loads(data.decode("utf-8")), dict)
+        except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+            is_object = False
+        assume(not is_object)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        rc = run_cli("spin", "--config", str(cfg))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "validation"
 
 
 class TestChshCommand:

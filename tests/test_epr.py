@@ -25,7 +25,7 @@ from qmachine.epr import (
     severed_chsh_scan,
     severed_correlation_mc,
 )
-from qmachine.epr import _corr_curve, _grid_max, _wing_bands
+from qmachine.epr import _corr_curve, _grid_max
 from qmachine.geometry import Direction, ElasticSpec, Outcome, axis_coordinate
 from qmachine.sampler import (
     BLOCK_SIZE,
@@ -41,6 +41,11 @@ Z = Direction(0.0, 0.0, 1.0)
 ROOT2 = math.sqrt(2.0)
 O1, O2 = Outcome.O1, Outcome.O2
 TSIRELSON = ChshSetting.from_plane_degrees(0.0, 90.0, 225.0, 135.0)
+
+
+def transposed(counts):
+    """Joint counts with each (left, right) key read as (right, left)."""
+    return {(x, y): counts[(y, x)] for x, y in counts}
 
 
 def brute_force_max_abs_s(eps, step_deg=3.0):
@@ -187,21 +192,6 @@ class TestMeasurePair:
             assert out_b is not out_a  # sign rule for a.b > 0
         assert seen == {(O1, O2), (O2, O1)}
 
-    def test_rejects_biased_source_band(self):
-        with pytest.raises(ValueError):
-            measure_pair(
-                EntangledPair(), plane_direction(0), plane_direction(1),
-                ElasticSpec(0.5, 0.2), RandomStream(1),
-                left_elastic=ElasticSpec(0.5, 0.1),
-            )
-
-    def test_right_first_requires_unbiased_band(self):
-        with pytest.raises(ValueError):
-            measure_pair(
-                EntangledPair(), plane_direction(0), plane_direction(1),
-                ElasticSpec(0.5, 0.2), RandomStream(1), order="right",
-            )
-
 
 class TestJointDistribution:
     def test_orthogonal_axes_even_cells(self):
@@ -238,7 +228,7 @@ class TestJointDistribution:
         b = plane_direction(1.2)
         band = ElasticSpec(0.5, 0.2)
         n = 400_000
-        counts = joint_counts(a, b, band, n, 45, left_elastic=ElasticSpec(0.5, 0.0))
+        counts = joint_counts(a, b, band, n, 45)
         for source_out, dragged in ((O1, -a), (O2, a)):
             n_cond = counts[(source_out, O1)] + counts[(source_out, O2)]
             freq = counts[(source_out, O1)] / n_cond
@@ -246,12 +236,14 @@ class TestJointDistribution:
             assert abs(freq - p1) <= 4.0 * math.sqrt(p1 * (1.0 - p1) / n_cond)
 
     def test_order_independence(self):
+        # right-first is the left-first process with the wings relabeled:
+        # the call with b, a passed, each key read in reverse
         a = plane_direction(0.4)
         b = plane_direction(1.9)
         band = ElasticSpec(0.7, 0.0)
         n = 200_000
-        left_first = joint_counts(a, b, band, n, 46, order="left")
-        right_first = joint_counts(a, b, band, n, 47, order="right")
+        left_first = joint_counts(a, b, band, n, 46)
+        right_first = transposed(joint_counts(b, a, band, n, 47))
         for key in left_first:
             diff = abs(left_first[key] - right_first[key]) / n
             assert diff <= 0.01, key
@@ -643,18 +635,18 @@ class TestSeveredForcedTies:
 
 # Two full blocks and a partial third one.
 PIN_N = 2 * BLOCK_SIZE + 7
-# (right band, left band or None, order, seed) and the counts (O1 O1, O1 O2,
-# O2 O1, O2 O2) of joint_counts(plane_direction(0.4), plane_direction(1.9), ...)
+# (band, order, seed) and the counts (O1 O1, O1 O2, O2 O1, O2 O2), keyed
+# (left, right), of joint_counts(plane_direction(0.4), plane_direction(1.9),
+# ...) with the ``order`` wing measured first; right-first counts are those
+# of the call with the axes swapped, transposed
 JOINT_PINS = {
-    "eps0-left": (ElasticSpec(0.0, 0.0), None, "left", 60, (0, 65549, 65530, 0)),
-    "eps0-right": (ElasticSpec(0.0, 0.0), None, "right", 61, (0, 65575, 65504, 0)),
-    "eps0.3-left": (ElasticSpec(0.3, 0.0), None, "left", 62, (25097, 40237, 40454, 25291)),
-    "eps0.3-right": (ElasticSpec(0.3, 0.0), None, "right", 63, (25149, 40191, 40699, 25040)),
-    "eps1-left": (ElasticSpec(1.0, 0.0), None, "left", 64, (30591, 35170, 34965, 30353)),
-    "eps1-right": (ElasticSpec(1.0, 0.0), None, "right", 65, (30639, 35066, 35100, 30274)),
-    "biased-right-band": (
-        ElasticSpec(0.5, 0.2), ElasticSpec(0.5, 0.0), "left", 66, (15155, 50573, 24047, 41304),
-    ),
+    "eps0-left": (ElasticSpec(0.0, 0.0), "left", 60, (0, 65549, 65530, 0)),
+    "eps0-right": (ElasticSpec(0.0, 0.0), "right", 61, (0, 65575, 65504, 0)),
+    "eps0.3-left": (ElasticSpec(0.3, 0.0), "left", 62, (25097, 40237, 40454, 25291)),
+    "eps0.3-right": (ElasticSpec(0.3, 0.0), "right", 63, (25149, 40191, 40699, 25040)),
+    "eps1-left": (ElasticSpec(1.0, 0.0), "left", 64, (30591, 35170, 34965, 30353)),
+    "eps1-right": (ElasticSpec(1.0, 0.0), "right", 65, (30639, 35066, 35100, 30274)),
+    "biased-right-band": (ElasticSpec(0.5, 0.2), "left", 66, (15155, 50573, 24047, 41304)),
 }
 # (band, seed) and severed_correlation_mc(band, PIN_N, seed)
 SEVERED_PINS = {
@@ -663,17 +655,16 @@ SEVERED_PINS = {
 }
 
 
-def where_joint_counts(a, b, elastic, n, seed, workers=1, left_elastic=None, order="left"):
+def where_joint_counts(a, b, elastic, n, seed, workers=1):
     """joint_counts in its first form: the partner's axis coordinate built per
     pair with np.where, and every cell counted from its own mask."""
-    first_el, second_el = _wing_bands(elastic, left_elastic, order)
+    left_el = ElasticSpec(elastic.epsilon, 0.0)
     t_ab = axis_coordinate(a, b)
 
     def run_block(rs, m, _start):
-        first_up = _resolve(_snap_points(rs, first_el, m), 0.0, rs)
-        t2 = np.where(first_up, -t_ab, t_ab)
-        second_up = _resolve(_snap_points(rs, second_el, m), t2, rs)
-        a_up, b_up = (first_up, second_up) if order == "left" else (second_up, first_up)
+        a_up = _resolve(_snap_points(rs, left_el, m), 0.0, rs)
+        t2 = np.where(a_up, -t_ab, t_ab)
+        b_up = _resolve(_snap_points(rs, elastic, m), t2, rs)
         return tuple(
             int(np.count_nonzero(x & y))
             for x, y in ((a_up, b_up), (a_up, ~b_up), (~a_up, b_up), (~a_up, ~b_up))
@@ -683,21 +674,21 @@ def where_joint_counts(a, b, elastic, n, seed, workers=1, left_elastic=None, ord
     return dict(zip(((O1, O1), (O1, O2), (O2, O1), (O2, O2)), cells))
 
 
-# (a, b, right band, left band or None, orders)
+# (a, b, band, orders); right-first runs the call with a and b swapped
 WHERE_CASES = {
     # a.b = 0 exactly: at eps = 0 every partner trial ties at -0.0 or +0.0
-    "exact-partner-ties": (Z, Direction(1.0, 0.0, 0.0), ElasticSpec(0.0, 0.0), None,
+    "exact-partner-ties": (Z, Direction(1.0, 0.0, 0.0), ElasticSpec(0.0, 0.0),
                            ("left", "right")),
-    "eps0": (plane_direction(0.4), plane_direction(1.9), ElasticSpec(0.0, 0.0), None,
+    "eps0": (plane_direction(0.4), plane_direction(1.9), ElasticSpec(0.0, 0.0),
              ("left", "right")),
-    "eps0.3": (plane_direction(0.4), plane_direction(1.9), ElasticSpec(0.3, 0.0), None,
+    "eps0.3": (plane_direction(0.4), plane_direction(1.9), ElasticSpec(0.3, 0.0),
                ("left", "right")),
-    "eps1-same-axis": (Z, Z, ElasticSpec(1.0, 0.0), None, ("left", "right")),
+    "eps1-same-axis": (Z, Z, ElasticSpec(1.0, 0.0), ("left", "right")),
     "biased-right-band": (plane_direction(0.4), plane_direction(1.9), ElasticSpec(0.5, 0.2),
-                          ElasticSpec(0.5, 0.0), ("left",)),
+                          ("left",)),
     # the partner ties at d = 0.3 whenever it lands at -a.b = 0.3
     "rigid-biased-tie": (Z, Direction.from_spherical(math.acos(-0.3)), ElasticSpec(0.0, 0.3),
-                         ElasticSpec(0.0, 0.0), ("left",)),
+                         ("left",)),
 }
 
 
@@ -705,12 +696,13 @@ class TestJointCountsReference:
     @pytest.mark.parametrize("n", (1, BLOCK_SIZE, 2 * BLOCK_SIZE + 7))
     @pytest.mark.parametrize("case", WHERE_CASES)
     def test_matches_where_form(self, case, n):
-        a, b, band, left, orders = WHERE_CASES[case]
+        a, b, band, orders = WHERE_CASES[case]
         for order in orders:
-            expected = where_joint_counts(a, b, band, n, 80 + n, left_elastic=left, order=order)
+            first, second = (a, b) if order == "left" else (b, a)
+            expected = where_joint_counts(first, second, band, n, 80 + n)
             for workers in (1, 2, 3):
                 assert joint_counts(
-                    a, b, band, n, 80 + n, workers=workers, left_elastic=left, order=order
+                    first, second, band, n, 80 + n, workers=workers
                 ) == expected, (order, workers)
 
 
@@ -718,11 +710,12 @@ class TestBlockKernelPins:
     @pytest.mark.parametrize("workers", (1, 2, 3))
     @pytest.mark.parametrize("case", JOINT_PINS)
     def test_joint_counts_exact(self, case, workers):
-        band, left, order, seed, cells = JOINT_PINS[case]
-        c = joint_counts(
-            plane_direction(0.4), plane_direction(1.9), band, PIN_N, seed,
-            workers=workers, left_elastic=left, order=order,
-        )
+        band, order, seed, cells = JOINT_PINS[case]
+        a, b = plane_direction(0.4), plane_direction(1.9)
+        if order == "left":
+            c = joint_counts(a, b, band, PIN_N, seed, workers=workers)
+        else:
+            c = transposed(joint_counts(b, a, band, PIN_N, seed, workers=workers))
         assert (c[(O1, O1)], c[(O1, O2)], c[(O2, O1)], c[(O2, O2)]) == cells
 
     @pytest.mark.parametrize("workers", (1, 2, 3))

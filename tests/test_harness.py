@@ -306,6 +306,26 @@ class TestRunClimit:
         transformed = load_density_csv(tmp_path / "density_eps0.01.csv")
         assert transformed.mass() == pytest.approx(1.0, abs=1e-9)
 
+    def test_eps_sharing_a_file_name_is_rejected_before_any_work(self, tmp_path):
+        out = tmp_path / "climit.json"
+        prefix = tmp_path / "p"
+        config = ExperimentConfig(
+            kind="climit", fixture="gaussian", eps_values=(0.1, 0.1000001),
+            out=str(out), out_prefix=str(prefix),
+        )
+        with pytest.raises(ValidationError, match=r"0\.1 and 0\.1000001"):
+            run(config)
+        assert list(tmp_path.iterdir()) == []
+        # without a prefix no file is written, and a repeated eps is one file
+        run(ExperimentConfig(kind="climit", fixture="gaussian", eps_values=(0.1, 0.1000001),
+                             out=str(out)))
+        repeated = ExperimentConfig(
+            kind="climit", fixture="gaussian", eps_values=(0.1, 0.1, 0.5),
+            out=str(out), out_prefix=str(prefix),
+        )
+        assert run(repeated) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.glob("p_*")) == ["p_eps0.1.csv", "p_eps0.5.csv"]
+
     def test_density_file_input(self, tmp_path):
         from qmachine.climit import gaussian_grid, save_density_csv
 

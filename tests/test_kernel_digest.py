@@ -50,6 +50,16 @@ KERNEL_DIGEST = "48e5f6d37fa3fe88b4cb6d69ea2587d6079a0107c1c0120019ce17ae44f1c0d
 KERNEL_CALLS = 516
 
 
+def ordered_joint_counts(a, b, band, n, seed, workers, order):
+    """Joint counts keyed (left, right) with the ``order`` wing measured
+    first: right-first is the left-first call with the wings relabeled, the
+    axes swapped and each key read in reverse."""
+    if order == "left":
+        return joint_counts(a, b, band, n, seed, workers)
+    counts = joint_counts(b, a, band, n, seed, workers)
+    return {(x, y): counts[(y, x)] for x, y in counts}
+
+
 def kernel_digest():
     """(sha256 hex digest, number of calls) over the whole grid."""
     h = hashlib.sha256()
@@ -87,7 +97,7 @@ def kernel_digest():
                 for n in SIZES:
                     seed += 1
                     for workers in WORKERS:
-                        counts = joint_counts(a, b, band, n, seed, workers, order=order)
+                        counts = ordered_joint_counts(a, b, band, n, seed, workers, order)
                         put(
                             ("joint_counts", eps, b_deg, order, n, workers),
                             *(counts[key] for key in keys),
@@ -156,9 +166,9 @@ def test_worker_counts_give_the_same_bytes(workers, monkeypatch):
             for order in ("left", "right"):
                 for n in SIZES + (4 * BLOCK_SIZE + 3,):
                     seed += 1
-                    assert joint_counts(a, b, band, n, seed, workers, order=order) == joint_counts(
-                        a, b, band, n, seed, order=order
-                    )
+                    assert ordered_joint_counts(
+                        a, b, band, n, seed, workers, order
+                    ) == ordered_joint_counts(a, b, band, n, seed, 1, order)
     for eps, d in ((0.0, 0.0), (1e-9, 0.0), (0.5, 0.0), (0.5, 0.2), (1.0, 0.0)):
         band = ElasticSpec(eps, d)
         for n in SIZES + (4 * BLOCK_SIZE + 3,):
