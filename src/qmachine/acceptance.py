@@ -140,7 +140,7 @@ def criterion_3_hilbert_correspondence() -> CriterionResult:
 def criterion_4_chsh_quantum() -> CriterionResult:
     """At eps = 1 the settings-optimized S is 2*sqrt(2); MC agrees to 0.02."""
     opt = max_chsh(ElasticSpec(1.0, 0.0))
-    analytic_err = abs(opt.max_abs_s - 2.8284271247)
+    analytic_err = abs(opt.max_abs_s - 2.0 * ROOT2)
     setting = ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG)
     est = chsh_estimate(
         setting, ElasticSpec(1.0, 0.0), 1_000_000, RandomStream(1004), WORKERS

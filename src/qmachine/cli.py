@@ -67,9 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chsh.add_argument(
         "--optimal", action="store_true", default=None, dest="optimize",
-        help="search for the settings maximizing |S|",
+        help="use the settings maximizing |S|",
     )
-    chsh.add_argument("--resolution-deg", type=float, dest="resolution_deg")
     chsh.add_argument("--mode", choices=("analytic", "mc", "both"), dest="chsh_mode")
     chsh.add_argument("-n", "--trials", type=int, dest="trials")
     chsh.add_argument("--format", choices=("csv", "json"), dest="output_format")

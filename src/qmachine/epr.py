@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 # Unused: bench/run.py::import_layer reads its import time unguarded.
 import scipy.optimize  # noqa: F401
 
@@ -210,11 +209,6 @@ def correlation_analytic(a: Direction, b: Direction, elastic: ElasticSpec) -> fl
     return -float(_clamp_law(axis_coordinate(a, b), elastic.epsilon))
 
 
-def _corr_curve(angles: np.ndarray, eps: float) -> np.ndarray:
-    """Pair correlation as a function of the angle between the two axes."""
-    return -_clamp_law(np.cos(angles), eps)
-
-
 @dataclass(frozen=True)
 class ChshEstimate:
     """Monte Carlo CHSH value with its standard error."""
@@ -270,91 +264,17 @@ class ChshOptimum:
         return ChshSetting.from_plane_degrees(*self.angles_deg)
 
 
-# Cells (a' rows x grid angles) per array chunk of the max_chsh grid scan:
-# memory stays O(m * rows) instead of O(m^2) at fine resolutions.
-_CHUNK_CELLS = 2**15
-# Finest max_chsh grid step (7200 angles).  The scan costs O(m^2) in the m
-# grid angles, and a step of 1e-6 degrees would ask numpy for gigabytes.
-MIN_RESOLUTION_DEG = 0.05
-
-
-def _grid_max(eps: float, resolution_deg: float):
-    """The first grid maximum of |S| over coplanar settings, as
-    ``(|S|, sign of S, a', b, b')`` with the angles in radians and a = 0.
-
-    Scans the three free angles at ``resolution_deg`` (a is pinned at 0 by
-    rotational symmetry), exploiting that for a fixed a' the b and b' angles
-    maximize independently.
-
-    Only the canonical sign placement, minus on (a', b'), is scanned.  The
-    other three are exact relabelings of the same grid: minus on (a', b) is
-    the canonical scan with b and b' swapped, minus on (a, b') is the
-    canonical scan at a' -> -a' rotated by a grid angle, and minus on (a, b)
-    is both.  Every correlation is read from the same ``curve`` array, so
-    their row scores are a permutation of the canonical ones, bit for bit,
-    and none can score strictly higher.
-
-    The grid is scored as arrays, one chunk of a' rows (about
-    ``_CHUNK_CELLS`` cells) at a time, so memory grows as O(m * rows), not
-    O(m^2).  Ties break as in a sequential scan over a', then +S before -S:
-    the first maximum wins.
-    """
-    m = max(8, int(round(360.0 / resolution_deg)))
-    step = 2.0 * math.pi / m
-    grid = np.arange(m) * step
-    curve = _corr_curve(grid, eps)
-
-    # shifted[k, i] = E(angle_i - angle_k), a strided view of the doubled curve
-    shifted = sliding_window_view(np.concatenate((curve[1:], curve)), m)[::-1]
-    rows = max(1, _CHUNK_CELLS // m)
-    best = None  # (value, sign, alpha, beta, gamma)
-    for start in range(0, m, rows):
-        rolled = shifted[start:start + rows]
-        beta_group = curve + rolled
-        gamma_group = curve - rolled
-        hi = beta_group.max(axis=1) + gamma_group.max(axis=1)
-        lo = beta_group.min(axis=1) + gamma_group.min(axis=1)
-        # (hi, -lo) per row in scan order; argmax returns the first maximum
-        scores = np.column_stack((hi, -lo)).ravel()
-        j = int(scores.argmax())
-        if best is None or scores[j] > best[0]:
-            r, flip = divmod(j, 2)
-            if flip:
-                b_at, g_at = beta_group[r].argmin(), gamma_group[r].argmin()
-            else:
-                b_at, g_at = beta_group[r].argmax(), gamma_group[r].argmax()
-            best = (
-                scores[j], -1.0 if flip else 1.0,
-                grid[start + r], grid[int(b_at)], grid[int(g_at)],
-            )
-    return best
-
-
-def max_chsh(elastic: ElasticSpec, resolution_deg: float = 1.0) -> ChshOptimum:
-    """Maximize |S| over coplanar settings.
-
-    The grid maximum of :func:`_grid_max` at ``resolution_deg`` is compared
-    with the Tsirelson setting, which wins ties.  That setting attains the
-    optimum min(4, 2*sqrt(2)/eps) at every eps, so no local search follows:
-    one could only beat it by rounding error.
+def max_chsh(elastic: ElasticSpec, resolution_deg=None) -> ChshOptimum:
+    """The largest |S| over coplanar settings, min(4, 2*sqrt(2)/eps), scored
+    at the Tsirelson setting, which attains it at every eps: Cirel'son's bound
+    at eps = 1 (Lett. Math. Phys. 4, 93 (1980)); for eps <= 1/sqrt(2) every
+    term saturates.  ``resolution_deg`` is unused: ``bench/worker.py`` still
+    passes it, and it goes once that calls ``max_chsh(elastic)``.
     """
     if elastic.d != 0.0:
         raise ValueError("pair correlations require an unbiased band (d = 0)")
-    if not resolution_deg >= MIN_RESOLUTION_DEG:
-        raise ValueError(f"resolution must be at least {MIN_RESOLUTION_DEG} degrees")
-    value, sign, *angles = _grid_max(elastic.epsilon, resolution_deg)
-
-    # The Tsirelson setting attains min(4, 2*sqrt(2)/eps) exactly
-    # (Cirel'son 1980), scored from its own axes.  A grid maximum is read off
-    # ``curve``, where cos(90 deg) rounds to +6e-17: at an eps small enough
-    # to clamp it, that residue can score a sign the setting's own axes do
-    # not give.  Ties go to the Tsirelson setting.
-    s_t = chsh_analytic(ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG), elastic)
-    if abs(s_t) >= value:
-        return ChshOptimum(abs(s_t), s_t, TSIRELSON_ANGLES_DEG)
-    return ChshOptimum(
-        value, sign * value, (0.0, *(math.degrees(x) % 360.0 for x in angles))
-    )
+    s = chsh_analytic(ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG), elastic)
+    return ChshOptimum(abs(s), s, TSIRELSON_ANGLES_DEG)
 
 
 def severed_correlation_mc(

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -24,7 +25,6 @@ from .climit import (
     save_density_csv,
 )
 from .epr import (
-    MIN_RESOLUTION_DEG,
     TSIRELSON_ANGLES_DEG,
     ChshSetting,
     chsh_analytic,
@@ -82,7 +82,6 @@ class ExperimentConfig:
     angles_deg: tuple[float, float, float, float] = TSIRELSON_ANGLES_DEG
     chsh_mode: str = "both"
     optimize: bool = False
-    resolution_deg: float = 1.0
     # climit / doubleslit
     density_path: str | None = None
     fixture: str | None = None
@@ -125,8 +124,6 @@ class ExperimentConfig:
         elif self.kind == "chsh":
             if len(self.angles_deg) != 4:
                 raise ValidationError("chsh needs exactly four setting angles")
-            if self.resolution_deg < MIN_RESOLUTION_DEG:
-                raise ValidationError(f"resolution must be at least {MIN_RESOLUTION_DEG} degrees")
             for eps in self.epsilon_grid or (self.epsilon,):
                 self._elastic(eps, 0.0)
         elif self.kind == "climit":
@@ -136,9 +133,12 @@ class ExperimentConfig:
             if self.out_prefix is not None:
                 files = {}  # a cut density is written to PREFIX_eps{eps:g}.csv
                 for eps in self.eps_values:
-                    other = files.setdefault(f"{eps:g}", eps)
+                    path = f"{self.out_prefix}_eps{eps:g}.csv"
+                    other = files.setdefault(path, eps)
                     if other != eps:
                         raise ValidationError(f"cut eps {other!r} and {eps!r} share a file name")
+                    if self.out is not None and os.path.abspath(path) == os.path.abspath(self.out):
+                        raise ValidationError(f"the report and the cut eps {eps!r} density share {path}")
         elif self.kind == "doubleslit":
             if self.peak_ratio < 1.0:
                 raise ValidationError(f"peak ratio must be >= 1, got {self.peak_ratio}")
@@ -306,7 +306,7 @@ def _run_chsh(config: ExperimentConfig) -> int:
     for index, eps in enumerate(epsilons):
         elastic = ElasticSpec(eps, 0.0)
         if config.optimize:
-            optimum = max_chsh(elastic, config.resolution_deg)
+            optimum = max_chsh(elastic)
             angles, setting = optimum.angles_deg, optimum.setting
             s_analytic = optimum.signed_s
         else:
@@ -437,7 +437,7 @@ _FIELD_TYPES = {
     "theta_grid": _GRID, "epsilon_grid": _GRID, "d_grid": _GRID,
     # chsh
     "angles_deg": _REALS, "chsh_mode": _one_of("analytic", "mc", "both"),
-    "optimize": _BOOL, "resolution_deg": _REAL,
+    "optimize": _BOOL,
     # climit / doubleslit
     "density_path": _PATH, "fixture": _one_of(None, "gaussian"),
     "eps_values": _REALS, "out_prefix": _PATH, "peak_ratio": _REAL,

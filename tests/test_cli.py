@@ -187,6 +187,29 @@ class TestClimitCommand:
         assert err["error"] == "validation"
         assert "density file" in err["message"]
 
+    @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+    def test_out_naming_a_density_file_exits_2_and_writes_nothing(
+        self, absolute, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        out = str(tmp_path / "p_eps0.5.csv") if absolute else "./p_eps0.5.csv"
+        rc = run_cli("climit", "--eps-values", "1,0.5", "--out", out, "--out-prefix", "p")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "validation"
+        assert "p_eps0.5.csv" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_beside_the_density_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli("climit", "--eps-values", "0.5", "--out", "p_eps0.25.csv", "--out-prefix", "p")
+        assert rc == 0
+        report = json.loads((tmp_path / "p_eps0.25.csv").read_text())
+        assert [r["epsilon"] for r in report["reports"]] == [0.5]
+        assert (tmp_path / "p_eps0.5.csv").read_text().startswith("x,value\n")
+
     def test_missing_density_file_is_io_error(self, tmp_path, capsys):
         rc = run_cli("climit", "--density", str(tmp_path / "absent.csv"))
         assert rc == 4
@@ -320,16 +343,23 @@ class TestValidationFailures:
         assert err["error"] == "validation"
         assert needle in err["message"]
 
-    @pytest.mark.parametrize("resolution", ["1e-300", "1e-6", "0.01"])
-    def test_too_fine_resolution_exits_2_with_json_error(self, resolution, capsys):
-        # each value is rejected before any grid is allocated
-        rc = run_cli("chsh", "--mode", "analytic", "--optimal", "--resolution-deg", resolution)
+    def test_resolution_flag_is_unknown(self, capsys):
+        # the optimum is closed-form: there is no grid step to set
+        with pytest.raises(SystemExit) as exc:
+            run_cli("chsh", "--mode", "analytic", "--optimal", "--resolution-deg", "7")
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_resolution_config_field_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"resolution_deg": 7}))
+        rc = run_cli("chsh", "--mode", "analytic", "--optimal", "--config", str(cfg))
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "validation"
-        assert "resolution" in err["message"]
+        assert "unknown config fields" in err["message"]
 
     @pytest.mark.parametrize(
         "argv", [("spin", "--theta-deg", "nan"), ("spin", "--epsilon", "2")],
@@ -363,8 +393,6 @@ FIELD_VALUES = {
 } | {
     "trials": NON_INTS | st.integers(1, 2000),
     "workers": NON_INTS | st.integers(1, 3),
-    "resolution_deg": JSON_VALUES.filter(lambda v: not isinstance(v, float))
-    | st.floats(min_value=1),
     "out": NON_STRINGS | st.just("out.txt"),
     "density_path": NON_STRINGS | st.just("density.csv"),
     "out_prefix": NON_STRINGS | st.just("prefix"),

@@ -8,7 +8,6 @@ import pytest
 from qmachine.analytic import ProbabilityPair
 import qmachine.harness
 from qmachine.epr import (
-    MIN_RESOLUTION_DEG,
     TSIRELSON_ANGLES_DEG,
     ChshEstimate,
     ChshSetting,
@@ -109,7 +108,6 @@ class TestExperimentConfig:
             ExperimentConfig(kind="sweep", epsilon_grid=(0.5,), d_grid=(0.9,)),
             ExperimentConfig(kind="chsh", chsh_mode="maybe"),
             ExperimentConfig(kind="chsh", angles_deg=(0.0, 1.0, 2.0)),
-            ExperimentConfig(kind="chsh", resolution_deg=0.0),
             ExperimentConfig(kind="climit"),
             ExperimentConfig(kind="climit", fixture="gaussian", density_path="x.csv"),
             ExperimentConfig(kind="climit", fixture="lorentz"),
@@ -123,18 +121,12 @@ class TestExperimentConfig:
             ExperimentConfig(kind="sweep", d_grid=(0.0, float("nan"))),
             ExperimentConfig(kind="chsh", epsilon_grid=(1.0, float("nan"))),
             ExperimentConfig(kind="chsh", angles_deg=(0.0, 90.0, float("inf"), 135.0)),
-            ExperimentConfig(kind="chsh", resolution_deg=float("nan")),
             ExperimentConfig(kind="doubleslit", peak_ratio=float("inf")),
             ExperimentConfig(kind="spin", trials="100"),
             ExperimentConfig(kind="spin", seed="5"),
             ExperimentConfig(kind="spin", trials=100.5),
             ExperimentConfig(kind="spin", trials=True),
             ExperimentConfig(kind="spin", workers=True),
-            ExperimentConfig(kind="chsh", resolution_deg="x"),
-            ExperimentConfig(kind="chsh", resolution_deg=float("inf")),
-            ExperimentConfig(kind="chsh", resolution_deg=1e-300),
-            ExperimentConfig(kind="chsh", resolution_deg=1e-6),
-            ExperimentConfig(kind="chsh", resolution_deg=0.01),
             ExperimentConfig(kind="spin", epsilon=True),
             ExperimentConfig(kind="spin", theta_deg=True),
             ExperimentConfig(kind="selftest", trials="x", workers=True),
@@ -146,6 +138,11 @@ class TestExperimentConfig:
             ExperimentConfig(kind="sweep", theta_grid=(10**400,)),
             ExperimentConfig(kind="chsh", angles_deg=None),
             ExperimentConfig(kind="chsh", epsilon_grid=()),
+            # the JSON report and a cut density would share one file
+            ExperimentConfig(kind="climit", fixture="gaussian", eps_values=(0.5,),
+                             out="p_eps0.5.csv", out_prefix="p"),
+            ExperimentConfig(kind="climit", fixture="gaussian", eps_values=(1.0, 0.25),
+                             out="./q/../p_eps0.25.csv", out_prefix="p"),
         ],
     )
     def test_validation_rejects(self, config):
@@ -159,9 +156,6 @@ class TestExperimentConfig:
 
     def test_field_table_covers_every_field(self):
         assert set(_FIELD_TYPES) == {f.name for f in fields(ExperimentConfig)}
-
-    def test_validation_accepts_the_finest_resolution(self):
-        ExperimentConfig(kind="chsh", resolution_deg=MIN_RESOLUTION_DEG).validate()
 
 
 def read_csv(path):
