@@ -366,6 +366,10 @@ class TestChshValue:
         assert abs(est.value - 2.0 * ROOT2) <= 5.0 * est.stderr
 
 
+# values the benchmark's unused second argument to max_chsh is tried with
+CHSH_RESOLUTIONS = (0.5, 1.0, 7.0, 42.5, 45.0, 50.0, 60.0)
+
+
 class TestMaxChsh:
     # Frozen from the brute-force oracle: the optimum is min(4, 2*sqrt(2)/eps),
     # flat at 4 up to eps = 1/sqrt(2).
@@ -388,18 +392,24 @@ class TestMaxChsh:
         opt = max_chsh(ElasticSpec(1.0, 0.0))
         assert abs(opt.max_abs_s - 2.0 * ROOT2) <= 1e-9
 
-    def test_quantum_point_stays_at_or_below_tsirelson_bound(self):
-        opt = max_chsh(ElasticSpec(1.0, 0.0))
+    # The second positional argument is the slot the benchmark still passes
+    # (``max_chsh(elastic, 1.0)``); whatever it holds, the result is the same.
+    @pytest.mark.parametrize("resolution_deg", [1.0, 7.0])
+    def test_quantum_point_stays_at_or_below_tsirelson_bound(self, resolution_deg):
+        opt = max_chsh(ElasticSpec(1.0, 0.0), resolution_deg)
         assert opt.max_abs_s <= 2.0 * math.sqrt(2.0)
 
     # Each row the Tsirelson setting attains is the double nearest
     # 2*sqrt(2)/eps, worked out to 40 digits.
-    @pytest.mark.parametrize("eps", [0.75, 0.85, 0.95, 1.0])
-    def test_tsirelson_rows_are_correctly_rounded(self, eps):
+    @pytest.mark.parametrize(
+        "eps, resolution_deg",
+        [(0.75, 1.0), (0.85, 1.0), (0.95, 1.0), (1.0, 1.0), (0.75, 7.0)],
+    )
+    def test_tsirelson_rows_are_correctly_rounded(self, eps, resolution_deg):
         with decimal.localcontext() as ctx:
             ctx.prec = 40
             exact = 2 * decimal.Decimal(2).sqrt() / decimal.Decimal(eps)
-        opt = max_chsh(ElasticSpec(eps, 0.0))
+        opt = max_chsh(ElasticSpec(eps, 0.0), resolution_deg)
         assert opt.angles_deg == TSIRELSON_ANGLES_DEG
         assert opt.max_abs_s == float(exact)
 
@@ -412,10 +422,12 @@ class TestMaxChsh:
 
     # eps = 0 and eps small enough to clamp every term, where cos(90 deg)
     # rounds to +6e-17 and a term's sign rests on that residue
+    @pytest.mark.parametrize("resolution_deg", CHSH_RESOLUTIONS)
     @pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-300, 1e-17])
-    def test_reported_setting_scores_its_value(self, eps):
+    def test_reported_setting_scores_its_value(self, eps, resolution_deg):
         band = ElasticSpec(eps, 0.0)
-        opt = max_chsh(band)
+        opt = max_chsh(band, resolution_deg)
+        assert opt == max_chsh(band)
         assert abs(chsh_analytic(opt.setting, band) - opt.signed_s) <= 1e-9
 
     @settings(max_examples=20, deadline=None)
