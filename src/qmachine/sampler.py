@@ -134,13 +134,15 @@ class TrialRecords(Sequence[TrialRecord]):
     The run is held as two read-only arrays copied from the constructor's
     inputs, ``break_points`` (float64) and ``o1`` (bool, True for O1); a
     record's index is its position.  Records are built on access (by index,
-    by slice as a list, or by iteration) and share the post states
-    ``SphereState(axis)`` and ``SphereState(-axis)``.  Vectorized consumers
-    should read the arrays.
+    by slice as a list, or by iteration, which with ``in`` and ``count``
+    converts the arrays ``_CHUNK`` trials at a time) and share the post
+    states ``SphereState(axis)`` and ``SphereState(-axis)``.  Vectorized
+    consumers should read the arrays.
     """
 
     __slots__ = ("break_points", "o1", "axis", "_up", "_down")
     __hash__ = None
+    _CHUNK = 1 << 12
 
     def __init__(self, break_points, o1, axis: Direction):
         self._hold(np.array(break_points, dtype=np.float64), np.array(o1, dtype=bool), axis)
@@ -172,14 +174,18 @@ class TrialRecords(Sequence[TrialRecord]):
     def __len__(self) -> int:
         return len(self.o1)
 
+    def _records(self, part: slice):
+        """The records of the trials ``part``, built one by one as they are read."""
+        return map(
+            self._record,
+            range(len(self))[part],
+            self.break_points[part].tolist(),
+            self.o1[part].tolist(),
+        )
+
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(map(
-                self._record,
-                range(len(self))[index],
-                self.break_points[index].tolist(),
-                self.o1[index].tolist(),
-            ))
+            return list(self._records(index))
         i = operator.index(index)
         if i < 0:
             i += len(self)
@@ -188,9 +194,8 @@ class TrialRecords(Sequence[TrialRecord]):
         return self._record(i, float(self.break_points[i]), bool(self.o1[i]))
 
     def __iter__(self):
-        return map(
-            self._record, range(len(self)), self.break_points.tolist(), self.o1.tolist()
-        )
+        for start in range(0, len(self), self._CHUNK):
+            yield from self._records(slice(start, start + self._CHUNK))
 
     def __eq__(self, other):
         if not isinstance(other, TrialRecords):
@@ -364,14 +369,6 @@ def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return u
 
 
-def _snap_points(rs: RandomStream, elastic: ElasticSpec, m: int) -> np.ndarray:
-    """``m`` snap points, uniform on [d - eps, d + eps]; at eps = 0 the
-    point d itself, and nothing is drawn."""
-    if elastic.epsilon == 0.0:
-        return np.full(m, elastic.d)
-    return _scaled(rs.random(m), elastic.break_lower, elastic.break_upper)
-
-
 def _resolve(lam: np.ndarray, t, rs: RandomStream) -> np.ndarray:
     """Vectorized outcome rule with fair-coin ties; True means O1.
 
@@ -430,14 +427,14 @@ def _cut(elastic: ElasticSpec, t: float) -> tuple[float, float]:
     """Where the snap points of ``elastic`` cross the axis coordinate ``t``,
     in the stream's draws: ``(below, upto)``.
 
-    A draw ``u`` of ``random`` places the snap point ``lo + w * u``
-    (:func:`_snap_points`) strictly below ``t`` exactly when ``u < below``,
-    and on ``t`` exactly when ``below <= u < upto``.  Both are ``k * 2**-53``
-    for the first ``k`` whose snap point is ``>= t`` and ``> t``, found in
-    O(log) steps from the estimate ``(t - lo) / w * 2**53``; rounding is
-    monotone, so the snap point never decreases in ``k``.  Where no draw
-    reaches ``t`` the cut is 1.0, above every draw.  At eps = 0 the band's
-    width is 0 and the cut says which side of ``t`` the point d lies.
+    A draw ``u`` of ``random`` places the snap point ``lo + w * u`` strictly
+    below ``t`` exactly when ``u < below``, and on ``t`` exactly when
+    ``below <= u < upto``.  Both are ``k * 2**-53`` for the first ``k``
+    whose snap point is ``>= t`` and ``> t``, found in O(log) steps from the
+    estimate ``(t - lo) / w * 2**53``; rounding is monotone, so the snap
+    point never decreases in ``k``.  Where no draw reaches ``t`` the cut is
+    1.0, above every draw.  At eps = 0 the band's width is 0 and the cut
+    says which side of ``t`` the point d lies.
     """
     lo = elastic.break_lower
     w = elastic.break_upper - lo

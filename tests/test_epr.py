@@ -31,7 +31,6 @@ from qmachine.sampler import (
     _map_blocks,
     _resolve,
     _scaled,
-    _snap_points,
     run_trials,
 )
 
@@ -597,6 +596,12 @@ class GridStream(RandomStream):
         return u if size is not None else float(u[0])
 
 
+def snap_points(rs, elastic, m):
+    """``m`` snap points from ``m`` of ``rs``'s doubles; at eps 0, d itself."""
+    lo, hi = elastic.break_lower, elastic.break_upper
+    return np.full(m, elastic.d) if elastic.epsilon == 0.0 else _scaled(rs.random(m), lo, hi)
+
+
 def four_array_severed(elastic, n, seed, ties):
     """severed_correlation_mc in its four-array form: both wings' states,
     then both wings' snap points, drawn in full before either is resolved.
@@ -605,8 +610,8 @@ def four_array_severed(elastic, n, seed, ties):
     def run_block(rs, m, _start):
         t_left = _scaled(rs.random(m), -1.0, 1.0)
         t_right = _scaled(rs.random(m), -1.0, 1.0)
-        lam_l = _snap_points(rs, elastic, m)
-        lam_r = _snap_points(rs, elastic, m)
+        lam_l = snap_points(rs, elastic, m)
+        lam_r = snap_points(rs, elastic, m)
         ties.append(int(np.count_nonzero(lam_l == t_left) + np.count_nonzero(lam_r == t_right)))
         a_up = _resolve(lam_l, t_left, rs)
         b_up = _resolve(lam_r, t_right, rs)
@@ -660,9 +665,9 @@ def where_joint_counts(a, b, elastic, n, seed, workers=1):
     t_ab = axis_coordinate(a, b)
 
     def run_block(rs, m, _start):
-        a_up = _resolve(_snap_points(rs, left_el, m), 0.0, rs)
+        a_up = _resolve(snap_points(rs, left_el, m), 0.0, rs)
         t2 = np.where(a_up, -t_ab, t_ab)
-        b_up = _resolve(_snap_points(rs, elastic, m), t2, rs)
+        b_up = _resolve(snap_points(rs, elastic, m), t2, rs)
         return tuple(
             int(np.count_nonzero(x & y))
             for x, y in ((a_up, b_up), (a_up, ~b_up), (~a_up, b_up), (~a_up, ~b_up))

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -28,7 +29,6 @@ from qmachine.sampler import (
     _map_indexed,
     _resolve,
     _resolve_cut,
-    _snap_points,
     hidden_outcome,
     measure,
     outcome_at_axis,
@@ -410,22 +410,30 @@ class TestRunTrials:
                 assert abs(freq - p1) <= bound, (t, band)
 
 
+def traced_peak(fn):
+    """``fn()`` and the most bytes it held at once, as tracemalloc traces them."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def reference_records(v, u, elastic, n, seed):
-    """One TrialRecord per trial, built in a loop over each block's draws."""
+    """One TrialRecord per trial from the paper's one-trial path: ``measure``
+    looped over each block's stream.
+
+    ``measure`` draws a tie's coin right after its snap point, while a block
+    draws its tie coins after all its snap points.  So the two paths agree
+    when no trial in a block ties, or when every trial does.
+    """
     root = RandomStream(seed)
-    t = axis_coordinate(v, u)
-    post_up, post_down = SphereState(u), SphereState(-u)
     records = []
     for j, m in enumerate(_block_lengths(n, BLOCK_SIZE)):
         rs = root.substream(j)
-        lam = _snap_points(rs, elastic, m)
-        is_o1 = _resolve(lam, t, rs)
         for k in range(m):
-            index = j * BLOCK_SIZE + k
-            if is_o1[k]:
-                records.append(TrialRecord(index, float(lam[k]), Outcome.O1, post_up))
-            else:
-                records.append(TrialRecord(index, float(lam[k]), Outcome.O2, post_down))
+            outcome, post, break_point = measure(v, u, elastic, rs)
+            records.append(TrialRecord(j * BLOCK_SIZE + k, break_point, outcome, post))
     return records
 
 
@@ -515,6 +523,53 @@ class TestTrialRecords:
         records = run_recorded(v, Z, band, 150_000, 44)
         assert int(records.o1.sum()) == run_trials(v, Z, band, 150_000, 44).n_o1
 
+    @pytest.mark.parametrize("eps, d, t", [
+        (1.0, 0.0, 0.5), (0.8, 0.1, 0.2), (1e-9, 0.3, 0.3), (0.5, -0.2, -0.1),
+        (0.0, 0.2, 0.2),  # t = d: every trial ties and takes a coin
+    ])
+    def test_matches_the_scalar_path(self, eps, d, t):
+        v, band = direction_at(t), ElasticSpec(eps, d)
+        records = run_recorded(v, Z, band, 3_000, 46)
+        assert list(records) == reference_records(v, Z, band, 3_000, 46)
+        if eps == 0.0:
+            assert 0 < records.o1.sum() < 3_000
+
+    def test_iteration_memory_is_bounded(self):
+        # converting a whole 2e5-trial run at once peaks at ~7.6 MB
+        band = ElasticSpec(1.0, 0.0)
+        records = run_recorded(direction_at(0.5), Z, band, 200_000, 41)
+        n1, peak = traced_peak(lambda: sum(1 for r in records if r.outcome is Outcome.O1))
+        assert n1 == RECORDED_CASES["eps1"][4]
+        assert peak <= 1 << 20
+        two_blocks = run_recorded(direction_at(0.5), Z, band, 2 * BLOCK_SIZE, 47)
+        first, peak = traced_peak(lambda: next(iter(two_blocks)))
+        assert first == two_blocks[0]
+        assert peak <= 1 << 20
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_iteration_matches_indexing(self, data):
+        chunk = TrialRecords._CHUNK
+        edges = (1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk, 3 * chunk + 1)
+        n = data.draw(st.one_of(st.sampled_from(edges), st.integers(1, 3 * chunk + 1)), "n")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        records = TrialRecords(gen.uniform(-1.0, 1.0, n), gen.random(n) < 0.5, Z)
+        listed = list(records)
+        assert listed == [records[i] for i in range(n)] == records[:]
+        for _ in range(3):
+            part = data.draw(st.slices(n), "slice")
+            assert listed[part] == records[part]
+        up, down = SphereState(Z), SphereState(-Z)
+        shared = {}  # the one post state object of each outcome
+        for r in listed:
+            assert type(r.index) is int and type(r.break_point) is float
+            assert r.post_state == (up if r.outcome is Outcome.O1 else down)
+            assert r.post_state is shared.setdefault(r.outcome, r.post_state)
+        absent = TrialRecord(0, 2.0, Outcome.O1, up)
+        for probe in (listed[0], listed[n // 2], listed[-1], absent):
+            assert (probe in records) == (probe in listed)
+            assert records.count(probe) == listed.count(probe)
+
 
 class TestRunRecorded:
     def test_bit_identical_reruns(self):
@@ -587,6 +642,12 @@ def t_choices():
     )
 
 
+def snap_points(rs, elastic, m):
+    """``m`` snap points drawn as ``sample_break_point`` draws one; at eps 0, d."""
+    lo, hi = elastic.break_lower, elastic.break_upper
+    return np.full(m, elastic.d) if elastic.epsilon == 0.0 else rs.uniform(lo, hi, m)
+
+
 def coordinate_for(band, where, seed, m):
     kind, x = where
     lo, hi = band.break_lower, band.break_upper
@@ -595,7 +656,7 @@ def coordinate_for(band, where, seed, m):
     if kind == "index":
         return lo + (hi - lo) * (x * 2.0**-53)
     if kind in ("own", "-own"):
-        lam = _snap_points(RandomStream(seed), band, m)
+        lam = snap_points(RandomStream(seed), band, m)
         own = float(lam[int(x * m)])
         return own if kind == "own" else -own
     # just outside the band on either side
@@ -632,7 +693,7 @@ class TestTieRule:
     def test_cut_matches_snap_points(self, band, where, flip_p, m, seed):
         t = coordinate_for(band, where, seed, m)
         ref_rs, cut_rs = RandomStream(seed), RandomStream(seed)
-        lam = _snap_points(ref_rs, band, m)
+        lam = snap_points(ref_rs, band, m)
         draws = _draws(cut_rs, band, m)
         if flip_p is None:
             expected = _resolve(lam, t, ref_rs)
@@ -690,7 +751,7 @@ class TestTieRule:
         assert _cut(band, 0.3) == (0.0, 1.0)
         assert _cut(band, 0.5) == (1.0, 1.0) and _cut(band, -0.5) == (0.0, 0.0)
         ref_rs, cut_rs = RandomStream(3), RandomStream(3)
-        expected = _resolve(_snap_points(ref_rs, band, 100), 0.3, ref_rs)
+        expected = _resolve(snap_points(ref_rs, band, 100), 0.3, ref_rs)
         got = _resolve_cut(_draws(cut_rs, band, 100), _cut(band, 0.3), cut_rs)
         assert np.array_equal(got, expected) and 0 < got.sum() < 100
         assert cut_rs.random() == ref_rs.random()
@@ -736,7 +797,7 @@ class TestEdgeCuts:
     def test_edge_cuts_match_snap_points(self, eps, d, t, expected, flipped):
         band, m = ElasticSpec(eps, d), 5_000
         ref_rs, cut_rs = RandomStream(41), RandomStream(41)
-        lam = _snap_points(ref_rs, band, m)
+        lam = snap_points(ref_rs, band, m)
         flip = np.random.default_rng(41).random(m) < 0.5 if flipped else None
         if flip is None:
             expected_up = _resolve(lam, t, ref_rs)
@@ -783,8 +844,8 @@ class TestDrawArithmetic:
     @pytest.mark.parametrize("eps, d", [(1.0, 0.0), (0.5, 0.2), (1e-9, 0.3), (1e-300, 0.3)])
     def test_snap_points_are_the_uniform_draw(self, eps, d):
         band = ElasticSpec(eps, d)
-        lam = _snap_points(RandomStream(13), band, 5_000)
-        drawn = RandomStream(13).uniform(band.break_lower, band.break_upper, 5_000)
+        lam = run_recorded(Z, Z, band, 5_000, 13).break_points
+        drawn = RandomStream(13).substream(0).uniform(band.break_lower, band.break_upper, 5_000)
         assert np.array_equal(lam.view(np.uint64), drawn.view(np.uint64))
 
 
