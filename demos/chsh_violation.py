@@ -51,7 +51,7 @@ def chsh_at_optimal_settings():
 def sweep_the_band():
     print("Settings-optimized |S| as the band turns classical:")
     for eps in (1.0, 0.9, 0.8, 1 / math.sqrt(2), 0.5, 0.25, 0.0):
-        best = max_chsh(ElasticSpec(eps, 0.0)).max_abs_s
+        best = max_chsh(ElasticSpec(eps, 0.0))
         bar = "#" * round(20 * best / 4.0)
         print(f"  eps = {eps:5.3f}:  max |S| = {best:.6f}  {bar}")
     print()

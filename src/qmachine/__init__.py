@@ -39,7 +39,6 @@ from .sampler import (
 )
 from .epr import (
     ChshEstimate,
-    ChshOptimum,
     ChshSetting,
     EntangledPair,
     chsh_analytic,

@@ -140,7 +140,7 @@ def criterion_3_hilbert_correspondence() -> CriterionResult:
 def criterion_4_chsh_quantum() -> CriterionResult:
     """At eps = 1 the settings-optimized S is 2*sqrt(2); MC agrees to 0.02."""
     opt = max_chsh(ElasticSpec(1.0, 0.0))
-    analytic_err = abs(opt.max_abs_s - 2.0 * ROOT2)
+    analytic_err = abs(opt - 2.0 * ROOT2)
     setting = ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG)
     est = chsh_estimate(
         setting, ElasticSpec(1.0, 0.0), 1_000_000, RandomStream(1004), WORKERS
@@ -148,7 +148,7 @@ def criterion_4_chsh_quantum() -> CriterionResult:
     mc_err = abs(est.value - 2.0 * ROOT2)
     return _result(
         "4-chsh-quantum", analytic_err <= 1e-6 and mc_err <= 0.02,
-        f"optimum {opt.max_abs_s:.10f} (err {analytic_err:.2g}, tol 1e-6); "
+        f"optimum {opt:.10f} (err {analytic_err:.2g}, tol 1e-6); "
         f"MC {est.value:.4f} (err {mc_err:.3f}, tol 0.02)",
     )
 
@@ -157,8 +157,8 @@ def criterion_5a_chsh_classical_max() -> CriterionResult:
     """With a fully deterministic band the optimized |S| reaches 4."""
     opt = max_chsh(ElasticSpec(0.0, 0.0))
     return _result(
-        "5a-chsh-classical-max", abs(opt.max_abs_s - 4.0) <= 1e-9,
-        f"optimum at eps=0 is {opt.max_abs_s:.10f} (expected 4)",
+        "5a-chsh-classical-max", abs(opt - 4.0) <= 1e-9,
+        f"optimum at eps=0 is {opt:.10f} (expected 4)",
     )
 
 
@@ -173,10 +173,10 @@ def criterion_5b_chsh_intermediate_interval() -> CriterionResult:
     The check is kept at its stated bounds and reports the failure.
     """
     opt = max_chsh(ElasticSpec(0.5, 0.0))
-    passed = 2.0 * ROOT2 < opt.max_abs_s < 4.0
+    passed = 2.0 * ROOT2 < opt < 4.0
     return _result(
         "5b-chsh-intermediate-interval", passed,
-        f"optimum at eps=0.5 is {opt.max_abs_s:.10f}; strict interior of "
+        f"optimum at eps=0.5 is {opt:.10f}; strict interior of "
         f"(2*sqrt(2), 4) is unattainable - the plateau at 4 extends to "
         f"eps = 1/sqrt(2)",
     )
@@ -184,9 +184,7 @@ def criterion_5b_chsh_intermediate_interval() -> CriterionResult:
 
 def criterion_5c_chsh_monotone() -> CriterionResult:
     """The optimized |S| never increases with eps."""
-    values = [
-        max_chsh(ElasticSpec(eps, 0.0)).max_abs_s for eps in (0.0, 0.25, 0.5, 0.75, 1.0)
-    ]
+    values = [max_chsh(ElasticSpec(eps, 0.0)) for eps in (0.0, 0.25, 0.5, 0.75, 1.0)]
     monotone = all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
     return _result(
         "5c-chsh-monotone", monotone,

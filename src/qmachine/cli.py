@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from .epr import TSIRELSON_ANGLES_DEG
 from .harness import (
     EXIT_IO,
     EXIT_VALIDATION,
@@ -61,12 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(chsh)
     chsh.add_argument("--epsilon", type=float, dest="epsilon")
     chsh.add_argument("--epsilon-grid", type=_float_list, dest="epsilon_grid")
-    chsh.add_argument(
+    angles = chsh.add_mutually_exclusive_group()
+    angles.add_argument(
         "--angles", type=_float_list, dest="angles_deg",
         help="a,a',b,b' in degrees (coplanar settings)",
     )
-    chsh.add_argument(
-        "--optimal", action="store_true", default=None, dest="optimize",
+    angles.add_argument(
+        "--optimal", action="store_const", const=TSIRELSON_ANGLES_DEG, dest="angles_deg",
         help="use the settings maximizing |S|",
     )
     chsh.add_argument("--mode", choices=("analytic", "mc", "both"), dest="chsh_mode")
@@ -76,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     climit = sub.add_parser("climit", help="cut-and-renormalize a density")
     common(climit)
     climit.add_argument("--density", dest="density_path", help="two-column (x,value) CSV")
-    climit.add_argument("--fixture", choices=("gaussian",), dest="fixture")
     climit.add_argument("--eps-values", type=_float_list, dest="eps_values")
     climit.add_argument(
         "--out-prefix", dest="out_prefix",
@@ -109,9 +110,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if key in ("kind", "config") or value is None:
             continue
         data[key] = value
-    # default climit source when neither flag nor config names one
-    if data["kind"] == "climit" and data.get("density_path") is None and data.get("fixture") is None:
-        data["fixture"] = "gaussian"
     return ExperimentConfig.from_dict(data)
 
 

@@ -249,32 +249,14 @@ def chsh_estimate(
     return ChshEstimate(value, stderr, est)
 
 
-@dataclass(frozen=True)
-class ChshOptimum:
-    """Settings-optimized CHSH: the largest |S| and the coplanar angles
-    (a, a', b, b') in degrees, as :meth:`ChshSetting.from_plane_degrees`
-    takes them, where it is attained."""
-
-    max_abs_s: float
-    signed_s: float
-    angles_deg: tuple[float, float, float, float]
-
-    @property
-    def setting(self) -> ChshSetting:
-        return ChshSetting.from_plane_degrees(*self.angles_deg)
-
-
-def max_chsh(elastic: ElasticSpec, resolution_deg=None) -> ChshOptimum:
+def max_chsh(elastic: ElasticSpec, resolution_deg=None) -> float:
     """The largest |S| over coplanar settings, min(4, 2*sqrt(2)/eps), scored
     at the Tsirelson setting, which attains it at every eps: Cirel'son's bound
     at eps = 1 (Lett. Math. Phys. 4, 93 (1980)); for eps <= 1/sqrt(2) every
     term saturates.  ``resolution_deg`` is unused: ``bench/worker.py`` still
     passes it, and it goes once that calls ``max_chsh(elastic)``.
     """
-    if elastic.d != 0.0:
-        raise ValueError("pair correlations require an unbiased band (d = 0)")
-    s = chsh_analytic(ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG), elastic)
-    return ChshOptimum(abs(s), s, TSIRELSON_ANGLES_DEG)
+    return abs(chsh_analytic(ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG), elastic))
 
 
 def severed_correlation_mc(

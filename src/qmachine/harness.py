@@ -30,7 +30,6 @@ from .epr import (
     chsh_analytic,
     chsh_estimate,
     chsh_sigma,
-    max_chsh,
 )
 from .geometry import Direction, ElasticSpec, Outcome
 from .sampler import FrequencyTable, RandomStream, run_trials
@@ -81,10 +80,8 @@ class ExperimentConfig:
     # chsh
     angles_deg: tuple[float, float, float, float] = TSIRELSON_ANGLES_DEG
     chsh_mode: str = "both"
-    optimize: bool = False
     # climit / doubleslit
     density_path: str | None = None
-    fixture: str | None = None
     eps_values: tuple[float, ...] = (1.0, 0.5, 0.1, 0.01)
     out_prefix: str | None = None
     peak_ratio: float = 1.0
@@ -127,8 +124,6 @@ class ExperimentConfig:
             for eps in self.epsilon_grid or (self.epsilon,):
                 self._elastic(eps, 0.0)
         elif self.kind == "climit":
-            if (self.density_path is None) == (self.fixture is None):
-                raise ValidationError("climit needs exactly one of density_path or fixture")
             self._eps_values()
             if self.out_prefix is not None:
                 files = {}  # a cut density is written to PREFIX_eps{eps:g}.csv
@@ -305,14 +300,9 @@ def _run_chsh(config: ExperimentConfig) -> int:
     rows, all_ok = [], True
     for index, eps in enumerate(epsilons):
         elastic = ElasticSpec(eps, 0.0)
-        if config.optimize:
-            optimum = max_chsh(elastic)
-            angles, setting = optimum.angles_deg, optimum.setting
-            s_analytic = optimum.signed_s
-        else:
-            angles = tuple(float(x) for x in config.angles_deg)
-            setting = ChshSetting.from_plane_degrees(*angles)
-            s_analytic = chsh_analytic(setting, elastic)
+        angles = tuple(float(x) for x in config.angles_deg)
+        setting = ChshSetting.from_plane_degrees(*angles)
+        s_analytic = chsh_analytic(setting, elastic)
         s_mc = stderr = None
         if config.chsh_mode in ("mc", "both"):
             est = chsh_estimate(
@@ -425,7 +415,6 @@ _REAL = ("a finite number", _is_real)
 _REALS = ("a non-empty list of finite numbers", _is_reals)
 _GRID = ("null or a non-empty list of finite numbers", lambda x: x is None or _is_reals(x))
 _PATH = ("a path string or null", lambda x: x is None or isinstance(x, str))
-_BOOL = ("true or false", lambda x: isinstance(x, bool))
 
 # Every ExperimentConfig field, in declaration order; ``validate`` checks them all.
 # It follows ``_RUNNERS``, whose keys are the kinds.
@@ -437,10 +426,8 @@ _FIELD_TYPES = {
     "theta_grid": _GRID, "epsilon_grid": _GRID, "d_grid": _GRID,
     # chsh
     "angles_deg": _REALS, "chsh_mode": _one_of("analytic", "mc", "both"),
-    "optimize": _BOOL,
     # climit / doubleslit
-    "density_path": _PATH, "fixture": _one_of(None, "gaussian"),
-    "eps_values": _REALS, "out_prefix": _PATH, "peak_ratio": _REAL,
+    "density_path": _PATH, "eps_values": _REALS, "out_prefix": _PATH, "peak_ratio": _REAL,
 }
 
 

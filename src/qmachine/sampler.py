@@ -560,13 +560,12 @@ def run_recorded(
     break_points, o1 = np.empty(n), np.empty(n, dtype=bool)
 
     def record_block(rs: RandomStream, m: int, start: int) -> None:
+        x = _draws(rs, elastic, m)
+        o1[start:start + m] = _resolve_cut(x, cut, rs)
         lam = break_points[start:start + m]
         if elastic.epsilon == 0.0:
             lam.fill(elastic.d)
-            o1[start:start + m] = _resolve_cut(_NO_DRAWS[:m], cut, rs)
         else:
-            x = rs.words(m)
-            o1[start:start + m] = _resolve_cut(x, cut, rs)
             # the doubles of ``random``: (x >> 11) * 2**-53, exact in int64
             x >>= np.uint64(11)
             np.multiply(x.view(np.int64), _STEP, out=lam)

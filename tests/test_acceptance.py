@@ -65,7 +65,7 @@ def test_criterion_5b_chsh_intermediate_interval(battery):
     result = battery["5b-chsh-intermediate-interval"]
     print(f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}")
 
-    s = max_chsh(ElasticSpec(0.5, 0.0)).max_abs_s
+    s = max_chsh(ElasticSpec(0.5, 0.0))
     assert result.passed == (2.0 * ROOT2 < s < 4.0), f"{result.name}: {result.detail}"
     assert f"optimum at eps=0.5 is {s:.10f}" in result.detail
 
@@ -74,7 +74,7 @@ def test_criterion_5b_chsh_intermediate_interval(battery):
     assert abs(abs(chsh_analytic(tsirelson, ElasticSpec(0.5, 0.0))) - 4.0) <= 1e-9
 
     for eps in (0.75, 0.85, 0.95):
-        s = max_chsh(ElasticSpec(eps, 0.0)).max_abs_s
+        s = max_chsh(ElasticSpec(eps, 0.0))
         assert 2.0 * ROOT2 < s < 4.0, f"eps={eps}: {s}"
         assert abs(s - 2.0 * ROOT2 / eps) <= 1e-9, f"eps={eps}: {s}"
 

@@ -291,8 +291,6 @@ class TestValidationFailures:
             ("spin", {"out": 7}),
             ("climit", {"density_path": 5}),
             ("climit", {"out_prefix": ["a"]}),
-            ("chsh", {"optimize": "false"}),
-            ("chsh", {"optimize": 1}),
             ("spin", {"epsilon": True}),
             ("spin", {"theta_deg": True}),
             ("selftest", {"trials": "x", "workers": True}),
@@ -307,7 +305,7 @@ class TestValidationFailures:
         ],
         ids=["grid-str-item", "grid-int", "angles-null-item", "resolution-str",
              "grid-str", "angles-str", "out-bool", "out-int", "density-path-int",
-             "out-prefix-list", "optimize-str", "optimize-int", "epsilon-bool",
+             "out-prefix-list", "epsilon-bool",
              "theta-bool", "selftest-trials-str", "grid-numeric-str-item",
              "grid-bool-item", "eps-values-bool-item", "eps-values-str-item",
              "theta-int-overflows-float", "grid-int-overflows-float", "angles-null",
@@ -360,6 +358,34 @@ class TestValidationFailures:
         err = json.loads(captured.err)
         assert err["error"] == "validation"
         assert "unknown config fields" in err["message"]
+
+    # --optimal names the setting that --angles would; climit has one fixture
+    @pytest.mark.parametrize(
+        "kind,fields",
+        [("chsh", {"optimize": True}), ("climit", {"fixture": "gaussian"})],
+        ids=["optimize", "fixture"],
+    )
+    def test_retired_config_field_is_unknown(self, kind, fields, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        rc = run_cli(kind, "--config", str(cfg))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "validation"
+        assert f"unknown config fields: [{next(iter(fields))!r}]" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("climit", "--fixture", "gaussian"), ("chsh", "--optimal", "--angles", "1,2,3,4")],
+        ids=["climit-fixture", "chsh-optimal-with-angles"],
+    )
+    def test_retired_or_conflicting_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "argv", [("spin", "--theta-deg", "nan"), ("spin", "--epsilon", "2")],

@@ -28,10 +28,14 @@ from qmachine.geometry import Direction, ElasticSpec, Outcome, axis_coordinate
 from qmachine.sampler import (
     BLOCK_SIZE,
     RandomStream,
+    _block_lengths,
     _map_blocks,
     _resolve,
     _scaled,
+    measure,
+    outcome_at_axis,
     run_trials,
+    sample_break_point,
 )
 
 Z = Direction(0.0, 0.0, 1.0)
@@ -384,19 +388,17 @@ class TestMaxChsh:
         for eps, expected in self.EXPECTED.items():
             oracle = brute_force_max_abs_s(eps)
             assert oracle == pytest.approx(expected, abs=1e-9), eps
-            produced = max_chsh(ElasticSpec(eps, 0.0)).max_abs_s
+            produced = max_chsh(ElasticSpec(eps, 0.0))
             assert produced == pytest.approx(oracle, abs=1e-6), eps
 
     def test_quantum_point_to_nano_precision(self):
-        opt = max_chsh(ElasticSpec(1.0, 0.0))
-        assert abs(opt.max_abs_s - 2.0 * ROOT2) <= 1e-9
+        assert abs(max_chsh(ElasticSpec(1.0, 0.0)) - 2.0 * ROOT2) <= 1e-9
 
     # The second positional argument is the slot the benchmark still passes
     # (``max_chsh(elastic, 1.0)``); whatever it holds, the result is the same.
     @pytest.mark.parametrize("resolution_deg", [1.0, 7.0])
     def test_quantum_point_stays_at_or_below_tsirelson_bound(self, resolution_deg):
-        opt = max_chsh(ElasticSpec(1.0, 0.0), resolution_deg)
-        assert opt.max_abs_s <= 2.0 * math.sqrt(2.0)
+        assert max_chsh(ElasticSpec(1.0, 0.0), resolution_deg) <= 2.0 * math.sqrt(2.0)
 
     # Each row the Tsirelson setting attains is the double nearest
     # 2*sqrt(2)/eps, worked out to 40 digits.
@@ -408,16 +410,12 @@ class TestMaxChsh:
         with decimal.localcontext() as ctx:
             ctx.prec = 40
             exact = 2 * decimal.Decimal(2).sqrt() / decimal.Decimal(eps)
-        opt = max_chsh(ElasticSpec(eps, 0.0), resolution_deg)
-        assert opt.angles_deg == TSIRELSON_ANGLES_DEG
-        assert opt.max_abs_s == float(exact)
+        assert max_chsh(ElasticSpec(eps, 0.0), resolution_deg) == float(exact)
 
     def test_optimal_setting_reproduces_value(self):
         for eps in (1.0, 0.85, 0.6, 0.0):
-            opt = max_chsh(ElasticSpec(eps, 0.0))
-            s = chsh_analytic(opt.setting, ElasticSpec(eps, 0.0))
-            assert abs(s) == pytest.approx(opt.max_abs_s, abs=1e-9)
-            assert s == pytest.approx(opt.signed_s, abs=1e-9)
+            s = chsh_analytic(TSIRELSON, ElasticSpec(eps, 0.0))
+            assert abs(s) == max_chsh(ElasticSpec(eps, 0.0))
 
     # eps = 0 and eps small enough to clamp every term, where cos(90 deg)
     # rounds to +6e-17 and a term's sign rests on that residue
@@ -425,27 +423,32 @@ class TestMaxChsh:
     @pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-300, 1e-17])
     def test_reported_setting_scores_its_value(self, eps, resolution_deg):
         band = ElasticSpec(eps, 0.0)
-        opt = max_chsh(band, resolution_deg)
-        assert opt == max_chsh(band)
-        assert abs(chsh_analytic(opt.setting, band) - opt.signed_s) <= 1e-9
+        best = max_chsh(band, resolution_deg)
+        assert best == max_chsh(band)
+        assert abs(abs(chsh_analytic(TSIRELSON, band)) - best) <= 1e-9
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_reported_setting_scores_its_value_at_any_eps(self, eps):
         band = ElasticSpec(eps, 0.0)
-        opt = max_chsh(band)
-        assert abs(chsh_analytic(opt.setting, band) - opt.signed_s) <= 1e-9
+        assert abs(abs(chsh_analytic(TSIRELSON, band)) - max_chsh(band)) <= 1e-9
 
     def test_angles_are_the_reported_degrees(self):
-        # every eps reports the Tsirelson setting, in its exact degrees
+        # the degrees ``chsh --optimal`` reports name the setting that
+        # scores max_chsh at every eps
+        assert TSIRELSON_ANGLES_DEG == (0.0, 90.0, 225.0, 135.0)
+        setting = ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG)
         for eps in (0.5, 1.0, 0.9, 0.75):
-            opt = max_chsh(ElasticSpec(eps, 0.0))
-            assert opt.angles_deg == TSIRELSON_ANGLES_DEG
-            assert opt.setting == ChshSetting.from_plane_degrees(*opt.angles_deg)
+            band = ElasticSpec(eps, 0.0)
+            assert abs(chsh_analytic(setting, band)) == max_chsh(band)
+
+    def test_rejects_biased_band(self):
+        with pytest.raises(ValueError, match="unbiased band"):
+            max_chsh(ElasticSpec(0.5, 0.1))
 
     def test_plateau_boundary(self):
-        below = max_chsh(ElasticSpec(0.70, 0.0)).max_abs_s
-        above = max_chsh(ElasticSpec(0.72, 0.0)).max_abs_s
+        below = max_chsh(ElasticSpec(0.70, 0.0))
+        above = max_chsh(ElasticSpec(0.72, 0.0))
         assert below == pytest.approx(4.0, abs=1e-9)
         assert above == pytest.approx(2.0 * ROOT2 / 0.72, abs=1e-6)
 
@@ -472,7 +475,7 @@ class TestMaxChsh:
             res = minimize(neg_s, start, method="Nelder-Mead",
                            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 5000})
             best = max(best, -res.fun)
-        coplanar = max_chsh(ElasticSpec(1.0, 0.0)).max_abs_s
+        coplanar = max_chsh(ElasticSpec(1.0, 0.0))
         assert best <= coplanar + 1e-6
         assert best >= coplanar - 1e-3  # the search does find the optimum
 
@@ -484,7 +487,7 @@ class TestMaxChshGridScan:
     @staticmethod
     def assert_no_grid_setting_beats(eps, resolution_deg):
         grid_best = reference_grid_scan(eps, resolution_deg)[0]
-        closed = max_chsh(ElasticSpec(eps, 0.0)).max_abs_s
+        closed = max_chsh(ElasticSpec(eps, 0.0))
         assert grid_best <= math.nextafter(closed, math.inf)
 
     @pytest.mark.parametrize("resolution_deg", [0.25, 1.0, 7.0, 45.0])
@@ -507,7 +510,7 @@ class TestMaxChshGridScan:
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_optimum_is_closed_form(self, eps):
         expected = 4.0 if eps == 0.0 else min(4.0, 2.0 * ROOT2 / eps)
-        assert abs(max_chsh(ElasticSpec(eps, 0.0)).max_abs_s - expected) <= 1e-9
+        assert abs(max_chsh(ElasticSpec(eps, 0.0)) - expected) <= 1e-9
 
 
 class TestSeveredRod:
@@ -707,6 +710,42 @@ class TestJointCountsReference:
                 assert joint_counts(
                     first, second, band, n, 80 + n, workers=workers
                 ) == expected, (order, workers)
+
+
+def scalar_joint_counts(a, b, elastic, n, seed):
+    """joint_counts from the paper's one-trial path, looped over each
+    block's stream in two passes: the left wing measures the central
+    particle of every pair of the block, then ``measure`` runs the right
+    wing from the antipode of each left landing point.
+
+    A block draws a wing's tie coins after all of that wing's snap points,
+    while the one-trial path draws a coin right after its tie; so the two
+    agree when no trial of a wing ties, or when every trial does.
+    """
+    left_el = ElasticSpec(elastic.epsilon, 0.0)
+    root = RandomStream(seed)
+    counts = dict.fromkeys(((O1, O1), (O1, O2), (O2, O1), (O2, O2)), 0)
+    for j, m in enumerate(_block_lengths(n, BLOCK_SIZE)):
+        rs = root.substream(j)
+        left = [outcome_at_axis(0.0, sample_break_point(left_el, rs), rs) for _ in range(m)]
+        for a_out in left:
+            b_out = measure(-a if a_out is O1 else a, b, elastic, rs)[0]
+            counts[(a_out, b_out)] += 1
+    return counts
+
+
+class TestJointCountsScalarPath:
+    # the left wing never ties for eps > 0 and always ties at eps 0; no
+    # right wing ties at these axes
+    @pytest.mark.parametrize("b_deg", (45.0, 135.0, 240.0))
+    @pytest.mark.parametrize("eps,n", [
+        (1.0, 3000), (0.6, 3000), (1e-9, 3000), (0.0, 3000),
+        (1.0, BLOCK_SIZE + 1000), (0.0, BLOCK_SIZE + 1000),
+    ])
+    def test_matches_the_scalar_path(self, eps, n, b_deg):
+        a, b = plane_direction(0.0), plane_direction(math.radians(b_deg))
+        band = ElasticSpec(eps, 0.0)
+        assert joint_counts(a, b, band, n, 90) == scalar_joint_counts(a, b, band, n, 90)
 
 
 class TestBlockKernelPins:

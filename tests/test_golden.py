@@ -37,8 +37,8 @@ FIXED = ("chsh", "--angles", "0,90,45,315", "--epsilon-grid", "0,0.75,1", "-n", 
 
 # (file name, argv, exit code)
 CASES = [
-    ("chsh_optimal_1deg.csv", OPTIMAL, 0),
-    ("chsh_optimal_1deg.json", OPTIMAL + ("--format", "json"), 0),
+    ("chsh_optimal.csv", OPTIMAL, 0),
+    ("chsh_optimal.json", OPTIMAL + ("--format", "json"), 0),
     ("sweep.csv", SWEEP, 0),
     ("sweep.json", SWEEP + ("--format", "json"), 0),
     ("chsh_both.csv", FIXED + ("--mode", "both"), 0),

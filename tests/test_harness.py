@@ -108,10 +108,10 @@ class TestExperimentConfig:
             ExperimentConfig(kind="sweep", epsilon_grid=(0.5,), d_grid=(0.9,)),
             ExperimentConfig(kind="chsh", chsh_mode="maybe"),
             ExperimentConfig(kind="chsh", angles_deg=(0.0, 1.0, 2.0)),
-            ExperimentConfig(kind="climit"),
-            ExperimentConfig(kind="climit", fixture="gaussian", density_path="x.csv"),
-            ExperimentConfig(kind="climit", fixture="lorentz"),
-            ExperimentConfig(kind="climit", fixture="gaussian", eps_values=(0.0,)),
+            ExperimentConfig(kind="climit", eps_values=(1.5,)),
+            ExperimentConfig(kind="climit", eps_values=()),
+            ExperimentConfig(kind="climit", density_path=5),
+            ExperimentConfig(kind="climit", eps_values=(0.0,)),
             ExperimentConfig(kind="doubleslit", peak_ratio=0.5),
             ExperimentConfig(kind="spin", theta_deg=float("nan")),
             ExperimentConfig(kind="spin", theta_deg=float("-inf")),
@@ -132,16 +132,16 @@ class TestExperimentConfig:
             ExperimentConfig(kind="selftest", trials="x", workers=True),
             ExperimentConfig(kind="sweep", theta_grid=("60",)),
             ExperimentConfig(kind="sweep", theta_grid=(True, 60)),
-            ExperimentConfig(kind="climit", fixture="gaussian", eps_values=(True,)),
-            ExperimentConfig(kind="climit", fixture="gaussian", eps_values=("0.5",)),
+            ExperimentConfig(kind="climit", eps_values=(True,)),
+            ExperimentConfig(kind="climit", eps_values=("0.5",)),
             ExperimentConfig(kind="spin", theta_deg=10**400),
             ExperimentConfig(kind="sweep", theta_grid=(10**400,)),
             ExperimentConfig(kind="chsh", angles_deg=None),
             ExperimentConfig(kind="chsh", epsilon_grid=()),
             # the JSON report and a cut density would share one file
-            ExperimentConfig(kind="climit", fixture="gaussian", eps_values=(0.5,),
+            ExperimentConfig(kind="climit", eps_values=(0.5,),
                              out="p_eps0.5.csv", out_prefix="p"),
-            ExperimentConfig(kind="climit", fixture="gaussian", eps_values=(1.0, 0.25),
+            ExperimentConfig(kind="climit", eps_values=(1.0, 0.25),
                              out="./q/../p_eps0.25.csv", out_prefix="p"),
         ],
     )
@@ -150,9 +150,8 @@ class TestExperimentConfig:
             config.validate()
 
     def test_validation_accepts_defaults(self):
-        for kind in ("spin", "sweep", "chsh", "doubleslit", "selftest"):
+        for kind in ("spin", "sweep", "chsh", "climit", "doubleslit", "selftest"):
             ExperimentConfig(kind=kind).validate()
-        ExperimentConfig(kind="climit", fixture="gaussian").validate()
 
     def test_field_table_covers_every_field(self):
         assert set(_FIELD_TYPES) == {f.name for f in fields(ExperimentConfig)}
@@ -269,7 +268,7 @@ class TestRunChsh:
     def test_optimized_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         config = ExperimentConfig(
-            kind="chsh", chsh_mode="analytic", optimize=True,
+            kind="chsh", chsh_mode="analytic", angles_deg=TSIRELSON_ANGLES_DEG,
             epsilon_grid=(0.0, 0.75, 1.0), out=str(out),
         )
         run(config)
@@ -285,7 +284,7 @@ class TestRunClimit:
         out = tmp_path / "climit.json"
         prefix = tmp_path / "density"
         config = ExperimentConfig(
-            kind="climit", fixture="gaussian", eps_values=(1.0, 0.01),
+            kind="climit", eps_values=(1.0, 0.01),
             out=str(out), out_prefix=str(prefix),
         )
         assert run(config) == EXIT_OK
@@ -304,17 +303,16 @@ class TestRunClimit:
         out = tmp_path / "climit.json"
         prefix = tmp_path / "p"
         config = ExperimentConfig(
-            kind="climit", fixture="gaussian", eps_values=(0.1, 0.1000001),
+            kind="climit", eps_values=(0.1, 0.1000001),
             out=str(out), out_prefix=str(prefix),
         )
         with pytest.raises(ValidationError, match=r"0\.1 and 0\.1000001"):
             run(config)
         assert list(tmp_path.iterdir()) == []
         # without a prefix no file is written, and a repeated eps is one file
-        run(ExperimentConfig(kind="climit", fixture="gaussian", eps_values=(0.1, 0.1000001),
-                             out=str(out)))
+        run(ExperimentConfig(kind="climit", eps_values=(0.1, 0.1000001), out=str(out)))
         repeated = ExperimentConfig(
-            kind="climit", fixture="gaussian", eps_values=(0.1, 0.1, 0.5),
+            kind="climit", eps_values=(0.1, 0.1, 0.5),
             out=str(out), out_prefix=str(prefix),
         )
         assert run(repeated) == EXIT_OK

@@ -1,4 +1,5 @@
-"""The README names only command lines and flags that the CLI has."""
+"""The README names only command lines and flags that the CLI has, and its
+Quick start runs."""
 
 import argparse
 import os
@@ -43,3 +44,20 @@ def test_every_backticked_flag_is_an_option():
     ]
     assert flags, "the README names no flag"
     assert [(number, flag) for number, flag in flags if flag not in known] == []
+
+
+def quick_start():
+    """The Python block of the README's Quick start section."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_quick_start_runs_and_its_comments_hold():
+    code = quick_start()
+    scope = {}
+    exec(compile(code, "README.md Quick start", "exec"), scope)
+    # a line ``expression  # value`` shows what the expression evaluates to
+    shown = re.findall(r"^(\S.*?)\s+# ([-\d.e]+)$", code, re.M)
+    assert shown, "the Quick start shows no value"
+    assert [(expr, repr(eval(expr, scope))) for expr, _ in shown] == shown
