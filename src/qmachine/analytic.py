@@ -209,7 +209,7 @@ def linearity_deviation(elastic: ElasticSpec) -> float:
     strictly positive amount.
     """
     t = np.linspace(-1.0, 1.0, 101)
-    e = np.array([expectation_from_axis(float(ti), elastic) for ti in t])
+    e = _clamp_law(t - elastic.d, elastic.epsilon)
     design = np.column_stack([t, np.ones_like(t)])
     coef, *_ = np.linalg.lstsq(design, e, rcond=None)
     return float(np.abs(e - design @ coef).max())

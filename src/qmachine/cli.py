@@ -18,6 +18,7 @@ from .harness import (
     EXIT_VALIDATION,
     ExperimentConfig,
     ValidationError,
+    _error,
     run,
 )
 
@@ -111,10 +112,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             continue
         data[key] = value
     return ExperimentConfig.from_dict(data)
-
-
-def _error(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
 def main(argv=None) -> int:

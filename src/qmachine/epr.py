@@ -38,12 +38,10 @@ from .sampler import (
     RandomStream,
     _checked,
     _cut,
-    _draws,
     _map_blocks,
     _map_indexed,
-    _resolve,
-    _resolve_cut,
-    _scaled,
+    _pair_block,
+    _severed_block,
     _whole,
     measure,
     outcome_at_axis,
@@ -160,18 +158,11 @@ def joint_counts(
     in reverse.  Block-substream scheme as in :mod:`qmachine.sampler`:
     results are bit-identical for any worker count.
     """
-    left_el = ElasticSpec(elastic.epsilon, 0.0)
     t_ab = axis_coordinate(a, b)
-    left_cut = _cut(left_el, 0.0)
-    # the partner sits at the antipode of the left wing's landing point:
-    # axis coordinate -t_ab after an up outcome, t_ab after a down one
-    right_cut, flipped_cut = _cut(elastic, t_ab), _cut(elastic, -t_ab)
+    cuts = _cut(ElasticSpec(elastic.epsilon, 0.0), 0.0), _cut(elastic, t_ab), _cut(elastic, -t_ab)
 
     def run_block(rs: RandomStream, m: int, _start: int):
-        a_up = _resolve_cut(_draws(rs, left_el, m), left_cut, rs)
-        b_up = _resolve_cut(
-            _draws(rs, elastic, m), right_cut, rs, flip=a_up, flip_cut=flipped_cut
-        )
+        a_up, b_up = _pair_block(rs, m, elastic, cuts)
         pp = int(np.count_nonzero(a_up & b_up))
         return pp, int(np.count_nonzero(a_up)) - pp, int(np.count_nonzero(b_up)) - pp
 
@@ -236,9 +227,7 @@ def chsh_estimate(
     setting: ChshSetting, elastic: ElasticSpec, n: int, seed, workers: int = 1
 ) -> ChshEstimate:
     """Monte Carlo S with ``n`` pair trials per correlation term."""
-    n = _whole(n, "n")
-    if n < 1:
-        raise ValueError(f"need at least one trial per term, got {n}")
+    n = _whole(n, "n")  # an int, so that the estimates are floats
     root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     est = tuple(
         correlation_mc(x, y, elastic, n, root.substream(k), workers)
@@ -269,31 +258,10 @@ def severed_correlation_mc(
     is then the same for every axis pair (the axis coordinate of a uniform
     state is uniform on [-1, 1]), so no axes are taken; the correlation is
     the product of the single-wing biases, 0 for an unbiased band.
-
-    A block of ``m`` trials reads its stream in a fixed order: the left
-    states, the right states, then (eps > 0) the left and right snap points,
-    then one coin per exact tie, left wing first.  It holds two buffers of
-    ``m`` doubles: the snap points come from a second generator started at
-    draw ``2m``, and the right wing is drawn into the left wing's buffers
-    once the left comparison is done.
     """
-    lo, hi = elastic.break_lower, elastic.break_upper
 
     def run_block(rs: RandomStream, m: int, _start: int) -> int:
-        states = rs._generator()
-        t = _scaled(states.random(m), -1.0, 1.0)
-        if elastic.epsilon == 0.0:
-            lam, coins = elastic.d, states  # nothing to draw for the snap points
-        else:
-            coins = rs.generator_at(2 * m)
-            lam = _scaled(coins.random(m), lo, hi)
-        a_up, a_ties = lam < t, np.flatnonzero(lam == t)
-        _scaled(states.random(out=t), -1.0, 1.0)
-        if elastic.epsilon != 0.0:
-            _scaled(coins.random(out=lam), lo, hi)
-        if len(a_ties):
-            a_up[a_ties] = coins.random(len(a_ties)) < 0.5
-        b_up = _resolve(lam, t, coins)
+        a_up, b_up = _severed_block(rs, m, elastic)
         return int(np.count_nonzero(a_up == b_up))
 
     same = sum(_map_blocks(run_block, n, seed, workers))

@@ -265,7 +265,7 @@ def _run_spin(config: ExperimentConfig) -> int:
     )
     _emit_rows(SPIN_COLUMNS, [row], config)
     if not ok:
-        _stat_warning(f"spin frequency off by more than 5 sigma: {row}")
+        _error("statistical", f"spin frequency off by more than 5 sigma: {row}")
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -289,7 +289,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
                 index += 1
     _emit_rows(SPIN_COLUMNS, rows, config)
     if not all_ok:
-        _stat_warning("one or more sweep rows off by more than 5 sigma")
+        _error("statistical", "one or more sweep rows off by more than 5 sigma")
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -326,7 +326,7 @@ def _run_chsh(config: ExperimentConfig) -> int:
         })
     _emit_rows(CHSH_COLUMNS, rows, config)
     if not all_ok:
-        _stat_warning("Monte Carlo CHSH off the analytic value by more than 5 sigma")
+        _error("statistical", "Monte Carlo CHSH off the analytic value by more than 5 sigma")
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -377,8 +377,8 @@ def _run_selftest(config: ExperimentConfig) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_RUNTIME
 
 
-def _stat_warning(message: str) -> None:
-    sys.stderr.write(json.dumps({"error": "statistical", "message": message}) + "\n")
+def _error(kind: str, message: str) -> None:
+    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
 _RUNNERS = {

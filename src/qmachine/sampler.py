@@ -12,14 +12,16 @@ out substreams never builds one; ``substream`` never touches the parent's
 generator, so the threads of :func:`_map_blocks` call it on a shared root.
 
 Bulk runs partition trials into fixed-size blocks; block ``j`` draws from
-``substream(j)`` only.  One dispatcher, :func:`_map_blocks`, runs the blocks
-of every Monte Carlo kernel here and in :mod:`qmachine.epr`, through
-:func:`_map_indexed`, which runs any list of independent tasks on threads,
-the calling thread one of them.  Results are therefore bit-identical no
-matter how many workers execute the blocks, and aggregation is a plain sum
-of counts, which commutes.  Philox is counter-based, so
-``generator_at(offset)`` starts a second generator at any draw of a stream
-without drawing the ones before it.
+``substream(j)`` only.  Three block kernels turn a block's stream into
+outcomes: :func:`_spin_block` (one wing), :func:`_pair_block` (rod-coupled
+pairs) and :func:`_severed_block` (the rod cut); the public kernels here and
+in :mod:`qmachine.epr` reduce them.  One dispatcher, :func:`_map_blocks`,
+runs the blocks through :func:`_map_indexed`, which runs any list of
+independent tasks on threads, the calling thread one of them.  Results are
+therefore bit-identical no matter how many workers execute the blocks, and
+aggregation is a plain sum of counts, which commutes.  Philox is
+counter-based, so ``generator_at(offset)`` starts a second generator at any
+draw of a stream without drawing the ones before it.
 
 Within a block the draw order is fixed: one draw per snap point, then one
 coin per exact tie, in trial order, and only when ties occur.  Each draw is
@@ -458,15 +460,6 @@ _LAST_WORD = np.uint64(2**64 - 1)
 _HALF = np.uint64(1 << 63)
 
 
-def _draws(rs: RandomStream, elastic: ElasticSpec, m: int) -> np.ndarray:
-    """The ``m`` words that place a block's snap points.  At eps = 0 the
-    snap point is d whatever the draw, so nothing is drawn and zeros stand
-    in."""
-    if elastic.epsilon == 0.0:
-        return _NO_DRAWS[:m]
-    return rs.words(m)
-
-
 def _below(x: np.ndarray, c: float) -> np.ndarray:
     """Which words ``x`` are doubles below the cut ``c = K * 2**-53``:
     ``x < K << 11``, or every word for ``c = 1.0``.  The bound is passed as
@@ -511,6 +504,49 @@ def _resolve_cut(x: np.ndarray, cut, rs: RandomStream, flip=None, flip_cut=None)
     return up
 
 
+def _spin_block(rs: RandomStream, m: int, elastic: ElasticSpec, cut, flip=None, flip_cut=None):
+    """One block of ``m`` trials of one wing: ``(up, words)``, ``up`` read
+    from the words through ``cut`` by :func:`_resolve_cut`.  At eps = 0 the
+    snap point is d whatever the draw, so none is made and zeros stand in."""
+    x = _NO_DRAWS[:m] if elastic.epsilon == 0.0 else rs.words(m)
+    return _resolve_cut(x, cut, rs, flip, flip_cut), x
+
+
+def _pair_block(rs: RandomStream, m: int, elastic: ElasticSpec, cuts):
+    """One block of ``m`` rod-coupled pairs, left wing first: ``(a_up, b_up)``.
+    ``cuts`` are the left wing's cut at 0 and the partner's cuts at ``t_ab``
+    and at ``-t_ab``, where it lands after an up outcome; the left band
+    ``(eps, 0)`` differs from ``elastic`` only in d, which no draw reads."""
+    left_cut, right_cut, flipped_cut = cuts
+    a_up = _spin_block(rs, m, elastic, left_cut)[0]
+    return a_up, _spin_block(rs, m, elastic, right_cut, a_up, flipped_cut)[0]
+
+
+def _severed_block(rs: RandomStream, m: int, elastic: ElasticSpec):
+    """One block of ``m`` severed-rod pairs, each wing at its own uniform
+    surface state: ``(a_up, b_up)``.  The block reads its stream in a fixed
+    order: the left states, the right states, then (eps > 0) the left and
+    right snap points, then one coin per exact tie, left wing first.  It
+    holds two buffers of ``m`` doubles: the snap points come from a second
+    generator started at draw ``2m``, and the right wing is drawn into the
+    left wing's buffers once the left comparison is done."""
+    lo, hi = elastic.break_lower, elastic.break_upper
+    states = rs._generator()
+    t = _scaled(states.random(m), -1.0, 1.0)
+    if elastic.epsilon == 0.0:
+        lam, coins = elastic.d, states  # nothing to draw for the snap points
+    else:
+        coins = rs.generator_at(2 * m)
+        lam = _scaled(coins.random(m), lo, hi)
+    a_up, a_ties = lam < t, np.flatnonzero(lam == t)
+    _scaled(states.random(out=t), -1.0, 1.0)
+    if elastic.epsilon != 0.0:
+        _scaled(coins.random(out=lam), lo, hi)
+    if len(a_ties):
+        a_up[a_ties] = coins.random(len(a_ties)) < 0.5
+    return a_up, _resolve(lam, t, coins)
+
+
 def run_trials(
     v: Direction,
     u: Direction,
@@ -535,7 +571,7 @@ def run_trials(
     def count_block(rs: RandomStream, m: int, _start: int) -> int:
         if certain:
             return m if cut[0] else 0
-        return int(np.count_nonzero(_resolve_cut(_draws(rs, elastic, m), cut, rs)))
+        return int(np.count_nonzero(_spin_block(rs, m, elastic, cut)[0]))
 
     n1 = sum(_map_blocks(count_block, n, seed, workers))
     return FrequencyTable(n1, n - n1)
@@ -560,8 +596,7 @@ def run_recorded(
     break_points, o1 = np.empty(n), np.empty(n, dtype=bool)
 
     def record_block(rs: RandomStream, m: int, start: int) -> None:
-        x = _draws(rs, elastic, m)
-        o1[start:start + m] = _resolve_cut(x, cut, rs)
+        o1[start:start + m], x = _spin_block(rs, m, elastic, cut)
         lam = break_points[start:start + m]
         if elastic.epsilon == 0.0:
             lam.fill(elastic.d)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -29,7 +29,9 @@ from qmachine.sampler import (
     BLOCK_SIZE,
     RandomStream,
     _block_lengths,
+    _cut,
     _map_blocks,
+    _pair_block,
     _resolve,
     _scaled,
     measure,
@@ -361,6 +363,11 @@ class TestChshValue:
     def test_monte_carlo_requires_trials(self):
         with pytest.raises(ValueError, match="at least one trial"):
             chsh_estimate(TSIRELSON, ElasticSpec(1.0, 0.0), 0, 0)
+
+    def test_numpy_trial_count_gives_floats(self):
+        est = chsh_estimate(TSIRELSON, ElasticSpec(1.0, 0.0), np.int64(1000), 52)
+        assert est == chsh_estimate(TSIRELSON, ElasticSpec(1.0, 0.0), 1000, 52)
+        assert {type(x) for x in (est.value, est.stderr, *est.correlations)} == {float}
 
     def test_estimate_reports_stderr(self):
         est = chsh_estimate(TSIRELSON, ElasticSpec(1.0, 0.0), 100_000, 51)
@@ -712,11 +719,13 @@ class TestJointCountsReference:
                 ) == expected, (order, workers)
 
 
-def scalar_joint_counts(a, b, elastic, n, seed):
-    """joint_counts from the paper's one-trial path, looped over each
+def scalar_pair_blocks(a, b, elastic, n, seed):
+    """joint_counts' pairs from the paper's one-trial path, looped over each
     block's stream in two passes: the left wing measures the central
     particle of every pair of the block, then ``measure`` runs the right
-    wing from the antipode of each left landing point.
+    wing from the antipode of each left landing point.  Yields, per block,
+    the left outcomes, which of them tied, the right outcomes and which of
+    them tied, as four lists.
 
     A block draws a wing's tie coins after all of that wing's snap points,
     while the one-trial path draws a coin right after its tie; so the two
@@ -724,13 +733,27 @@ def scalar_joint_counts(a, b, elastic, n, seed):
     """
     left_el = ElasticSpec(elastic.epsilon, 0.0)
     root = RandomStream(seed)
-    counts = dict.fromkeys(((O1, O1), (O1, O2), (O2, O1), (O2, O2)), 0)
     for j, m in enumerate(_block_lengths(n, BLOCK_SIZE)):
         rs = root.substream(j)
-        left = [outcome_at_axis(0.0, sample_break_point(left_el, rs), rs) for _ in range(m)]
-        for a_out in left:
-            b_out = measure(-a if a_out is O1 else a, b, elastic, rs)[0]
-            counts[(a_out, b_out)] += 1
+        a_out, a_tie, b_out, b_tie = [], [], [], []
+        for _ in range(m):
+            snap = sample_break_point(left_el, rs)
+            a_tie.append(snap == 0.0)
+            a_out.append(outcome_at_axis(0.0, snap, rs))
+        for outcome in a_out:
+            partner = -a if outcome is O1 else a
+            b_o, _, snap = measure(partner, b, elastic, rs)
+            b_tie.append(snap == axis_coordinate(partner, b))
+            b_out.append(b_o)
+        yield a_out, a_tie, b_out, b_tie
+
+
+def scalar_joint_counts(a, b, elastic, n, seed):
+    """joint_counts from :func:`scalar_pair_blocks`, with its tie limit."""
+    counts = dict.fromkeys(((O1, O1), (O1, O2), (O2, O1), (O2, O2)), 0)
+    for a_out, _, b_out, _ in scalar_pair_blocks(a, b, elastic, n, seed):
+        for key in zip(a_out, b_out):
+            counts[key] += 1
     return counts
 
 
@@ -746,6 +769,31 @@ class TestJointCountsScalarPath:
         a, b = plane_direction(0.0), plane_direction(math.radians(b_deg))
         band = ElasticSpec(eps, 0.0)
         assert joint_counts(a, b, band, n, 90) == scalar_joint_counts(a, b, band, n, 90)
+
+    # Per trial: the pair block's outcomes, block after block, are those of
+    # the one-trial path.  They agree only where each wing of a block has no
+    # tie or only ties (eps 0 ties every left trial); a block with some but
+    # not all is assumed away, and the forced-tie tests cover that case.
+    # ~1.3 s in all, half of it the two-block example.
+    @settings(max_examples=50, deadline=None)
+    @given(
+        b_rad=st.floats(0.0, 2.0 * math.pi),
+        eps=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3000),
+    )
+    @example(b_rad=1.9, eps=0.5, seed=91, n=BLOCK_SIZE + 7)
+    def test_pair_block_matches_per_trial(self, b_rad, eps, seed, n):
+        a, b, band = plane_direction(0.0), plane_direction(b_rad), ElasticSpec(eps, 0.0)
+        blocks = list(scalar_pair_blocks(a, b, band, n, seed))
+        assume(all(sum(tie) in (0, len(tie)) for blk in blocks for tie in (blk[1], blk[3])))
+        t_ab = axis_coordinate(a, b)
+        cuts = _cut(band, 0.0), _cut(band, t_ab), _cut(band, -t_ab)
+        root = RandomStream(seed)
+        for j, (m, (a_out, _, b_out, _)) in enumerate(zip(_block_lengths(n, BLOCK_SIZE), blocks)):
+            a_up, b_up = _pair_block(root.substream(j), m, band, cuts)
+            assert a_up.tolist() == [o is O1 for o in a_out]
+            assert b_up.tolist() == [o is O1 for o in b_out]
 
 
 class TestBlockKernelPins:

@@ -1,8 +1,13 @@
-"""Every name a module of the package imports is used in that module.
+"""Import checks over the package's modules, by ``ast``.
 
-No linter runs on this tree, so this ``ast`` check catches the imports a
-deletion leaves behind.  ``__init__.py`` is skipped, since it imports only
-to re-export, and so is any import line marked ``# noqa``.
+Every name a module imports is used in that module.  No linter runs on this
+tree, so this check catches the imports a deletion leaves behind.
+``__init__.py`` is skipped, since it imports only to re-export, and so is
+any import line marked ``# noqa``.
+
+``epr`` turns no block's stream into outcomes itself: it imports none of
+the sampler internals that do, and calls no stream's generator, so the draw
+order of every block kernel lives in ``sampler`` alone.
 """
 
 import ast
@@ -49,3 +54,49 @@ def test_every_import_is_used(path):
 def test_check_sees_unused_and_marked_imports():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(pi)\n"
     assert unused_imports(source) == ["os (line 1)", "tau (line 3)"]
+
+
+# the sampler internals that read a block's draws, and the stream methods
+# that reach its generator: only ``sampler``'s block kernels use them
+DRAW_INTERNALS = {"_resolve", "_resolve_cut", "_scaled", "_coins", "_below", "_NO_DRAWS"}
+GENERATOR_CALLS = {"_generator", "generator_at"}
+
+
+def draw_internals_used(source: str) -> list[str]:
+    """The draw internals ``source`` imports or reads as attributes, and
+    the generator methods it calls."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [
+                f"import {alias.name} (line {node.lineno})"
+                for alias in node.names if alias.name.split(".")[-1] in DRAW_INTERNALS
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr in DRAW_INTERNALS:
+            found.append(f"read {node.attr} (line {node.lineno})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in GENERATOR_CALLS):
+            found.append(f"call {node.func.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_epr_leaves_block_draws_to_sampler():
+    with open(os.path.join(PACKAGE, "epr.py"), encoding="utf-8") as fh:
+        assert draw_internals_used(fh.read()) == []
+
+
+def test_check_sees_draw_internals():
+    source = (
+        "from .sampler import _cut, _resolve_cut as rc\n"
+        "import qmachine.sampler\n"
+        "up = qmachine.sampler._below(x, 0.5)\n"
+        "gen = rs._generator()\n"
+        "tail = rs.generator_at(3).random(2)\n"
+        "rs.random(2)\n"
+    )
+    assert draw_internals_used(source) == [
+        "call _generator (line 4)",
+        "call generator_at (line 5)",
+        "import _resolve_cut (line 1)",
+        "read _below (line 3)",
+    ]

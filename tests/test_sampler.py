@@ -7,7 +7,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qmachine.epr
@@ -24,11 +24,11 @@ from qmachine.sampler import (
     _block_lengths,
     _coins,
     _cut,
-    _draws,
     _map_blocks,
     _map_indexed,
     _resolve,
     _resolve_cut,
+    _spin_block,
     hidden_outcome,
     measure,
     outcome_at_axis,
@@ -419,6 +419,17 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+SPECIAL_EPSILONS = (1.0, 0.5, 1e-9, 1e-300)
+
+
+@st.composite
+def bands(draw):
+    """A valid band: one of the special widths or any, at any offset d."""
+    eps = draw(st.one_of(st.sampled_from(SPECIAL_EPSILONS), st.floats(0.0, 1.0)))
+    d = draw(st.one_of(st.just(0.0), st.floats(-1.0 + eps, 1.0 - eps)))
+    return ElasticSpec(eps, d)
+
+
 def reference_records(v, u, elastic, n, seed):
     """One TrialRecord per trial from the paper's one-trial path: ``measure``
     looped over each block's stream.
@@ -534,6 +545,32 @@ class TestTrialRecords:
         if eps == 0.0:
             assert 0 < records.o1.sum() < 3_000
 
+    # Per trial, over (v, u, eps, d, seed, n).  The paths agree only where a
+    # block has no tie or only ties; a block with some but not all is
+    # assumed away, and the forced-tie tests cover that case.  ~1.3 s in all,
+    # half of it the two-block example.
+    @settings(max_examples=50, deadline=None)
+    @given(
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        band=bands(),
+        on_axis=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3000),
+    )
+    @example(theta=1.1, phi=0.3, band=ElasticSpec(0.6, -0.2), on_axis=False, seed=48,
+             n=BLOCK_SIZE + 7)
+    def test_matches_the_scalar_path_per_trial(self, theta, phi, band, on_axis, seed, n):
+        v, u = Direction.from_spherical(theta, phi), Direction.from_spherical(phi, theta)
+        t = axis_coordinate(v, u)
+        if on_axis:  # a rigid band at the axis coordinate: every trial ties
+            band = ElasticSpec(0.0, t)
+        reference = reference_records(v, u, band, n, seed)
+        for start in range(0, n, BLOCK_SIZE):
+            ties = sum(r.break_point == t for r in reference[start:start + BLOCK_SIZE])
+            assume(ties in (0, min(BLOCK_SIZE, n - start)))
+        assert list(run_recorded(v, u, band, n, seed)) == reference
+
     def test_iteration_memory_is_bounded(self):
         # converting a whole 2e5-trial run at once peaks at ~7.6 MB
         band = ElasticSpec(1.0, 0.0)
@@ -616,17 +653,8 @@ class TestRunRecorded:
                 assert table.frequency(outcome) == 1.0
 
 
-SPECIAL_EPSILONS = (1.0, 0.5, 1e-9, 1e-300)
 # draw indices k whose snap point lo + w * (k * 2**-53) serves as t
 SPECIAL_INDICES = (0, 1, 2**52, 2**53 - 1)
-
-
-@st.composite
-def bands(draw):
-    """A valid band: one of the special widths or any, at any offset d."""
-    eps = draw(st.one_of(st.sampled_from(SPECIAL_EPSILONS), st.floats(0.0, 1.0)))
-    d = draw(st.one_of(st.just(0.0), st.floats(-1.0 + eps, 1.0 - eps)))
-    return ElasticSpec(eps, d)
 
 
 def t_choices():
@@ -694,14 +722,13 @@ class TestTieRule:
         t = coordinate_for(band, where, seed, m)
         ref_rs, cut_rs = RandomStream(seed), RandomStream(seed)
         lam = snap_points(ref_rs, band, m)
-        draws = _draws(cut_rs, band, m)
         if flip_p is None:
             expected = _resolve(lam, t, ref_rs)
-            got = _resolve_cut(draws, _cut(band, t), cut_rs)
+            got = _spin_block(cut_rs, m, band, _cut(band, t))[0]
         else:
             flip = np.random.default_rng(seed).random(m) < flip_p
             expected = _resolve(lam, np.where(flip, -t, t), ref_rs)
-            got = _resolve_cut(draws, _cut(band, t), cut_rs, flip=flip, flip_cut=_cut(band, -t))
+            got = _spin_block(cut_rs, m, band, _cut(band, t), flip, _cut(band, -t))[0]
         assert np.array_equal(got, expected)
         # the same number of tie coins: both streams stand at the same draw
         assert cut_rs.random() == ref_rs.random()
@@ -752,15 +779,15 @@ class TestTieRule:
         assert _cut(band, 0.5) == (1.0, 1.0) and _cut(band, -0.5) == (0.0, 0.0)
         ref_rs, cut_rs = RandomStream(3), RandomStream(3)
         expected = _resolve(snap_points(ref_rs, band, 100), 0.3, ref_rs)
-        got = _resolve_cut(_draws(cut_rs, band, 100), _cut(band, 0.3), cut_rs)
+        got = _spin_block(cut_rs, 100, band, _cut(band, 0.3))[0]
         assert np.array_equal(got, expected) and 0 < got.sum() < 100
         assert cut_rs.random() == ref_rs.random()
 
     def test_rigid_band_draws_nothing(self):
         band = ElasticSpec(0.0, 0.2)
         rs, fresh = RandomStream(4), RandomStream(4)
-        assert not _resolve_cut(_draws(rs, band, 10), _cut(band, 0.1), rs).any()
-        assert _resolve_cut(_draws(rs, band, 10), _cut(band, 0.3), rs).all()
+        assert not _spin_block(rs, 10, band, _cut(band, 0.1))[0].any()
+        assert _spin_block(rs, 10, band, _cut(band, 0.3))[0].all()
         assert rs.random() == fresh.random()
 
 
@@ -801,12 +828,10 @@ class TestEdgeCuts:
         flip = np.random.default_rng(41).random(m) < 0.5 if flipped else None
         if flip is None:
             expected_up = _resolve(lam, t, ref_rs)
-            got = _resolve_cut(_draws(cut_rs, band, m), _cut(band, t), cut_rs)
+            got = _spin_block(cut_rs, m, band, _cut(band, t))[0]
         else:
             expected_up = _resolve(lam, np.where(flip, -t, t), ref_rs)
-            got = _resolve_cut(
-                _draws(cut_rs, band, m), _cut(band, t), cut_rs, flip=flip, flip_cut=_cut(band, -t)
-            )
+            got = _spin_block(cut_rs, m, band, _cut(band, t), flip, _cut(band, -t))[0]
         assert np.array_equal(got, expected_up)
         assert cut_rs.random() == ref_rs.random()
         if expected is None:
