@@ -67,6 +67,6 @@ from .climit import (
     save_density_csv,
     threshold_for_mass,
 )
-from .harness import ExperimentConfig, StatReport, ValidationError, chi_square, run
+from .harness import ExperimentConfig, ValidationError, chi_square, run
 
 __version__ = "0.1.0"

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--optimal", action="store_const", const=TSIRELSON_ANGLES_DEG, dest="angles_deg",
         help="use the settings maximizing |S|",
     )
-    chsh.add_argument("--mode", choices=("analytic", "mc", "both"), dest="chsh_mode")
+    chsh.add_argument("--mode", choices=("analytic", "both"), dest="chsh_mode")
     chsh.add_argument("-n", "--trials", type=int, dest="trials")
     chsh.add_argument("--format", choices=("csv", "json"), dest="output_format")
 

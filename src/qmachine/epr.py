@@ -158,6 +158,7 @@ def joint_counts(
     in reverse.  Block-substream scheme as in :mod:`qmachine.sampler`:
     results are bit-identical for any worker count.
     """
+    n, workers = _checked(n, workers)
     t_ab = axis_coordinate(a, b)
     cuts = _cut(ElasticSpec(elastic.epsilon, 0.0), 0.0), _cut(elastic, t_ab), _cut(elastic, -t_ab)
 
@@ -184,6 +185,7 @@ def correlation_mc(
     workers: int = 1,
 ) -> float:
     """Monte Carlo estimate of the pair correlation <A*B>."""
+    n, workers = _checked(n, workers)
     c = joint_counts(a, b, elastic, n, seed, workers)
     same = c[(Outcome.O1, Outcome.O1)] + c[(Outcome.O2, Outcome.O2)]
     return (2 * same - n) / n
@@ -227,7 +229,6 @@ def chsh_estimate(
     setting: ChshSetting, elastic: ElasticSpec, n: int, seed, workers: int = 1
 ) -> ChshEstimate:
     """Monte Carlo S with ``n`` pair trials per correlation term."""
-    n = _whole(n, "n")  # an int, so that the estimates are floats
     root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     est = tuple(
         correlation_mc(x, y, elastic, n, root.substream(k), workers)
@@ -259,6 +260,7 @@ def severed_correlation_mc(
     state is uniform on [-1, 1]), so no axes are taken; the correlation is
     the product of the single-wing biases, 0 for an unbiased band.
     """
+    n, workers = _checked(n, workers)
 
     def run_block(rs: RandomStream, m: int, _start: int) -> int:
         a_up, b_up = _severed_block(rs, m, elastic)

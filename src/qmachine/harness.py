@@ -152,81 +152,48 @@ class ExperimentConfig:
             raise ValidationError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class StatReport:
-    """Frequencies of a trial batch with confidence and goodness-of-fit."""
-
-    total: int
-    freq_o1: float
-    freq_o2: float
-    stderr: float
-    ci_half_width: float
-    ci_low: float
-    ci_high: float
-    chi_square: float | None
-    chi_square_df: int | None
-    chi_square_applicable: bool
-    exact_check: bool
-    consistent: bool
-
-    def __post_init__(self):
-        if abs(self.freq_o1 + self.freq_o2 - 1.0) > 1e-12:
-            raise ValueError("frequencies must sum to 1")
-
-
-def chi_square(observed: FrequencyTable, expected: ProbabilityPair) -> StatReport:
-    """Compare observed counts with an expected outcome distribution.
-
-    chi^2 with one degree of freedom when applicable (n >= 100 and both
-    expected counts >= 5).  A degenerate expectation (p = 0 or 1) switches to
-    an exact check: every trial must land in the certain outcome.
-    ``consistent`` flags agreement within 5 standard errors of the expected
-    frequency (or the exact check).
+def chi_square(observed: FrequencyTable, expected: ProbabilityPair) -> float | None:
+    """Pearson's chi^2 of observed counts against an expected outcome
+    distribution, one degree of freedom; None where it does not apply: under
+    100 trials or an expected count under 5, a degenerate p = 0 or 1 among them.
     """
     n = observed.total
-    f1 = observed.n_o1 / n
-    f2 = observed.n_o2 / n
-    stderr = math.sqrt(f1 * f2 / n)
-    half = 1.96 * stderr
-    p1, p2 = expected.p1, expected.p2
-    if p1 == 0.0 or p1 == 1.0:
-        consistent = observed.n_o2 == 0 if p1 == 1.0 else observed.n_o1 == 0
-        return StatReport(
-            n, f1, f2, stderr, half, f1 - half, f1 + half,
-            None, None, False, True, consistent,
-        )
-    e1, e2 = n * p1, n * p2
-    applicable = n >= 100 and e1 >= 5.0 and e2 >= 5.0
-    stat = ((observed.n_o1 - e1) ** 2 / e1 + (observed.n_o2 - e2) ** 2 / e2) if applicable else None
-    consistent = abs(f1 - p1) <= 5.0 * math.sqrt(p1 * p2 / n)
-    return StatReport(
-        n, f1, f2, stderr, half, f1 - half, f1 + half,
-        stat, 1 if applicable else None, applicable, False, consistent,
-    )
+    e1, e2 = n * expected.p1, n * expected.p2
+    if n < 100 or e1 < 5.0 or e2 < 5.0:
+        return None
+    return (observed.n_o1 - e1) ** 2 / e1 + (observed.n_o2 - e2) ** 2 / e2
+
+
+def _within_5_sigma(mc: float, exact: float, sigma: float) -> bool:
+    """The verdict on a Monte Carlo value: within 5 sigma of its closed form,
+    which at sigma = 0 it must hit exactly."""
+    return abs(mc - exact) <= 5.0 * sigma
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, int):
         return str(value)
     return format(float(value), ".17g")
 
 
-def _emit_rows(columns, rows, config) -> None:
-    """Write rows as CSV or JSON to config.out (stdout when None)."""
+def _emit_rows(columns, rows, config, ok: bool, failure: str) -> int:
+    """Write rows as CSV or JSON to config.out (stdout when None); the exit
+    status is 0, or 3 with ``failure`` on stderr unless every row is ``ok``."""
     if config.output_format == "json":
-        payload = json.dumps({"rows": [dict(r) for r in rows]}, indent=2)
-        _write_text(config.out, payload + "\n")
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
-    _write_text(config.out, buf.getvalue())
+        _write_text(config.out, json.dumps({"rows": rows}, indent=2) + "\n")
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(row[c]) for c in columns])
+        _write_text(config.out, buf.getvalue())
+    if not ok:
+        _error("statistical", failure)
+        return EXIT_RUNTIME
+    return EXIT_OK
 
 
 def _write_text(path, text: str) -> None:
@@ -243,19 +210,20 @@ def _spin_row(theta_deg, eps, d, trials, seed_label, stream, workers):
     elastic = ElasticSpec(eps, d)
     table = run_trials(v, u, elastic, trials, stream, workers)
     expected = epsilon_probabilities(v, u, elastic)
-    report = chi_square(table, expected)
+    f1, f2 = table.frequency(Outcome.O1), table.frequency(Outcome.O2)
     row = {
         "theta_deg": theta_deg,
         "epsilon": eps,
         "d": d,
         "n": trials,
         "seed": seed_label,
-        "freq_o1": table.frequency(Outcome.O1),
+        "freq_o1": f1,
         "analytic_p1": expected.p1,
-        "stderr": report.stderr,
-        "chi2": report.chi_square,
+        "stderr": math.sqrt(f1 * f2 / trials),
+        "chi2": chi_square(table, expected),
     }
-    return row, report.consistent
+    sigma = math.sqrt(expected.p1 * expected.p2 / trials)
+    return row, _within_5_sigma(f1, expected.p1, sigma)
 
 
 def _run_spin(config: ExperimentConfig) -> int:
@@ -263,11 +231,9 @@ def _run_spin(config: ExperimentConfig) -> int:
         config.theta_deg, config.epsilon, config.d, config.trials,
         config.seed, RandomStream(config.seed), config.workers,
     )
-    _emit_rows(SPIN_COLUMNS, [row], config)
-    if not ok:
-        _error("statistical", f"spin frequency off by more than 5 sigma: {row}")
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return _emit_rows(
+        SPIN_COLUMNS, [row], config, ok, f"spin frequency off by more than 5 sigma: {row}"
+    )
 
 
 def _run_sweep(config: ExperimentConfig) -> int:
@@ -287,11 +253,9 @@ def _run_sweep(config: ExperimentConfig) -> int:
                 rows.append(row)
                 all_ok = all_ok and ok
                 index += 1
-    _emit_rows(SPIN_COLUMNS, rows, config)
-    if not all_ok:
-        _error("statistical", "one or more sweep rows off by more than 5 sigma")
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return _emit_rows(
+        SPIN_COLUMNS, rows, config, all_ok, "one or more sweep rows off by more than 5 sigma"
+    )
 
 
 def _run_chsh(config: ExperimentConfig) -> int:
@@ -304,7 +268,7 @@ def _run_chsh(config: ExperimentConfig) -> int:
         setting = ChshSetting.from_plane_degrees(*angles)
         s_analytic = chsh_analytic(setting, elastic)
         s_mc = stderr = None
-        if config.chsh_mode in ("mc", "both"):
+        if config.chsh_mode == "both":
             est = chsh_estimate(
                 setting, elastic, config.trials, root.substream(index), config.workers
             )
@@ -312,8 +276,7 @@ def _run_chsh(config: ExperimentConfig) -> int:
             # sigma of the exact terms: the sample stderr is 0 at small n
             # whenever every pair of each term agrees
             sigma = chsh_sigma(setting, elastic, config.trials)
-            if abs(s_mc - s_analytic) > 5.0 * max(sigma, 1e-15):
-                all_ok = False
+            all_ok = _within_5_sigma(s_mc, s_analytic, sigma) and all_ok
         rows.append({
             "epsilon": eps,
             "a_deg": angles[0],
@@ -324,11 +287,10 @@ def _run_chsh(config: ExperimentConfig) -> int:
             "S_mc": s_mc,
             "stderr": stderr,
         })
-    _emit_rows(CHSH_COLUMNS, rows, config)
-    if not all_ok:
-        _error("statistical", "Monte Carlo CHSH off the analytic value by more than 5 sigma")
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return _emit_rows(
+        CHSH_COLUMNS, rows, config, all_ok,
+        "Monte Carlo CHSH off the analytic value by more than 5 sigma",
+    )
 
 
 def _run_climit(config: ExperimentConfig) -> int:
@@ -425,7 +387,7 @@ _FIELD_TYPES = {
     # sweep
     "theta_grid": _GRID, "epsilon_grid": _GRID, "d_grid": _GRID,
     # chsh
-    "angles_deg": _REALS, "chsh_mode": _one_of("analytic", "mc", "both"),
+    "angles_deg": _REALS, "chsh_mode": _one_of("analytic", "both"),
     # climit / doubleslit
     "density_path": _PATH, "eps_values": _REALS, "out_prefix": _PATH, "peak_ratio": _REAL,
 }

@@ -560,12 +560,12 @@ def run_trials(
     ``seed`` may be an integer or a :class:`RandomStream`.  The outcome
     counts are identical for any ``workers`` value.
     """
+    n, workers = _checked(n, workers)
     cut = _cut(elastic, axis_coordinate(v, u))
     # a cut at 0 or 1 with no room for ties: every draw lands on one side
     certain = cut[0] == cut[1] and cut[0] in (0.0, 1.0)
     if certain:
         # nothing is drawn, so the blocks run inline whatever ``workers`` is
-        _checked(n, workers)
         workers = 1
 
     def count_block(rs: RandomStream, m: int, _start: int) -> int:

@@ -378,14 +378,27 @@ class TestValidationFailures:
 
     @pytest.mark.parametrize(
         "argv",
-        [("climit", "--fixture", "gaussian"), ("chsh", "--optimal", "--angles", "1,2,3,4")],
-        ids=["climit-fixture", "chsh-optimal-with-angles"],
+        [("climit", "--fixture", "gaussian"), ("chsh", "--optimal", "--angles", "1,2,3,4"),
+         ("chsh", "--mode", "mc")],
+        ids=["climit-fixture", "chsh-optimal-with-angles", "chsh-mode-mc"],
     )
     def test_retired_or_conflicting_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_retired_chsh_mode_in_config_exits_2(self, tmp_path, capsys):
+        # "mc" printed the same rows as "both"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chsh_mode": "mc"}))
+        rc = run_cli("chsh", "-n", "100", "--config", str(cfg))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "validation"
+        assert err["message"] == "chsh_mode must be one of 'analytic', 'both', got 'mc'"
 
     @pytest.mark.parametrize(
         "argv", [("spin", "--theta-deg", "nan"), ("spin", "--epsilon", "2")],

@@ -43,8 +43,6 @@ CASES = [
     ("sweep.json", SWEEP + ("--format", "json"), 0),
     ("chsh_both.csv", FIXED + ("--mode", "both"), 0),
     ("chsh_both.json", FIXED + ("--mode", "both", "--format", "json"), 0),
-    ("chsh_mc.csv", FIXED + ("--mode", "mc"), 0),
-    ("chsh_mc.json", FIXED + ("--mode", "mc", "--format", "json"), 0),
     ("chsh_analytic_90.csv", ("chsh", "--mode", "analytic", "--angles", "0,90,90,270",
                               "--epsilon-grid", "0,0.5,1"), 0),
     ("climit.json", ("climit", "--eps-values", "1,0.5,0.1,0.01"), 0),

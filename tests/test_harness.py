@@ -2,8 +2,11 @@ import csv
 import json
 import math
 from dataclasses import fields
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qmachine.analytic import ProbabilityPair
 import qmachine.harness
@@ -22,7 +25,6 @@ from qmachine.harness import (
     EXIT_RUNTIME,
     SPIN_COLUMNS,
     ExperimentConfig,
-    StatReport,
     ValidationError,
     chi_square,
     run,
@@ -30,42 +32,80 @@ from qmachine.harness import (
 from qmachine.sampler import FrequencyTable
 
 
+def retired_chi_square(observed, expected):
+    """``(stderr, chi^2, consistent)`` by the rules of the ``chi_square`` that
+    returned a StatReport, kept as an oracle for the spin row: an exact check
+    where p is 0 or 1, else the 5-sigma bound on the frequency."""
+    n = observed.total
+    f1 = observed.n_o1 / n
+    f2 = observed.n_o2 / n
+    stderr = math.sqrt(f1 * f2 / n)
+    p1, p2 = expected.p1, expected.p2
+    if p1 == 0.0 or p1 == 1.0:
+        consistent = observed.n_o2 == 0 if p1 == 1.0 else observed.n_o1 == 0
+        return stderr, None, consistent
+    e1, e2 = n * p1, n * p2
+    applicable = n >= 100 and e1 >= 5.0 and e2 >= 5.0
+    stat = ((observed.n_o1 - e1) ** 2 / e1 + (observed.n_o2 - e2) ** 2 / e2) if applicable else None
+    consistent = abs(f1 - p1) <= 5.0 * math.sqrt(p1 * p2 / n)
+    return stderr, stat, consistent
+
+
+def spin_row_for(table, expected):
+    """``_spin_row`` and its verdict with the sampled counts and the closed
+    form replaced by ``table`` and ``expected``."""
+    with mock.patch.object(qmachine.harness, "run_trials", lambda *args: table), \
+            mock.patch.object(qmachine.harness, "epsilon_probabilities", lambda *args: expected):
+        return qmachine.harness._spin_row(60.0, 1.0, 0.0, table.total, 0, None, 1)
+
+
+@st.composite
+def counts_and_expectations(draw):
+    """A table and an outcome distribution, p1 = 0 and 1 among them, with
+    counts near the expected ones or anywhere."""
+    p1 = draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+    n = draw(st.integers(1, 10**7))
+    mean, spread = round(n * p1), 6 * math.ceil(math.sqrt(n * p1 * (1.0 - p1))) + 2
+    n_o1 = draw(st.one_of(
+        st.integers(max(0, mean - spread), min(n, mean + spread)), st.integers(0, n)
+    ))
+    return FrequencyTable(n_o1, n - n_o1), ProbabilityPair(p1, 1.0 - p1)
+
+
 class TestChiSquare:
     def test_exact_match_is_zero(self):
-        report = chi_square(FrequencyTable(750, 250), ProbabilityPair(0.75, 0.25))
-        assert report.chi_square == 0.0
-        assert report.chi_square_df == 1
-        assert report.consistent
+        assert chi_square(FrequencyTable(750, 250), ProbabilityPair(0.75, 0.25)) == 0.0
 
     def test_hand_value(self):
-        report = chi_square(FrequencyTable(500_500, 499_500), ProbabilityPair(0.5, 0.5))
-        assert report.chi_square == pytest.approx(1.0, abs=1e-9)
+        stat = chi_square(FrequencyTable(500_500, 499_500), ProbabilityPair(0.5, 0.5))
+        assert stat == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_expectation_exact_check(self):
-        ok = chi_square(FrequencyTable(1000, 0), ProbabilityPair(1.0, 0.0))
-        assert ok.exact_check and ok.consistent and ok.chi_square is None
-        bad = chi_square(FrequencyTable(999, 1), ProbabilityPair(1.0, 0.0))
-        assert bad.exact_check and not bad.consistent
+        # no statistic; the 5-sigma rule at sigma = 0 asks for every trial
+        assert chi_square(FrequencyTable(1000, 0), ProbabilityPair(1.0, 0.0)) is None
+        assert spin_row_for(FrequencyTable(1000, 0), ProbabilityPair(1.0, 0.0))[1]
+        assert not spin_row_for(FrequencyTable(999, 1), ProbabilityPair(1.0, 0.0))[1]
+        assert spin_row_for(FrequencyTable(0, 1000), ProbabilityPair(0.0, 1.0))[1]
+        assert not spin_row_for(FrequencyTable(1, 999), ProbabilityPair(0.0, 1.0))[1]
 
     def test_small_samples_inapplicable(self):
-        report = chi_square(FrequencyTable(30, 20), ProbabilityPair(0.5, 0.5))
-        assert not report.chi_square_applicable
-        assert report.chi_square is None
+        assert chi_square(FrequencyTable(30, 20), ProbabilityPair(0.5, 0.5)) is None
 
     def test_tiny_expected_counts_inapplicable(self):
-        report = chi_square(FrequencyTable(998, 2), ProbabilityPair(0.999, 0.001))
-        assert not report.chi_square_applicable
+        assert chi_square(FrequencyTable(998, 2), ProbabilityPair(0.999, 0.001)) is None
 
-    def test_confidence_interval_formula(self):
-        report = chi_square(FrequencyTable(600, 400), ProbabilityPair(0.5, 0.5))
-        assert report.freq_o1 + report.freq_o2 == pytest.approx(1.0, abs=1e-12)
-        expected = 1.96 * math.sqrt(0.6 * 0.4 / 1000)
-        assert report.ci_half_width == pytest.approx(expected, abs=1e-15)
-        assert report.ci_low == pytest.approx(0.6 - expected, abs=1e-15)
-
-    def test_report_rejects_bad_frequencies(self):
-        with pytest.raises(ValueError):
-            StatReport(10, 0.5, 0.6, 0.0, 0.0, 0.0, 0.0, None, None, False, False, True)
+    @settings(max_examples=300, deadline=None)
+    @given(case=counts_and_expectations())
+    @example(case=(FrequencyTable(999, 1), ProbabilityPair(1.0, 0.0)))
+    @example(case=(FrequencyTable(0, 7), ProbabilityPair(0.0, 1.0)))
+    def test_row_follows_the_stat_report_rules(self, case):
+        table, expected = case
+        row, ok = spin_row_for(table, expected)
+        stderr, stat, consistent = retired_chi_square(table, expected)
+        # repr tells floats apart bit for bit, and None from a float
+        assert repr(row["stderr"]) == repr(stderr)
+        assert repr(row["chi2"]) == repr(stat)
+        assert ok == consistent
 
 
 class TestExperimentConfig:
@@ -143,6 +183,8 @@ class TestExperimentConfig:
                              out="p_eps0.5.csv", out_prefix="p"),
             ExperimentConfig(kind="climit", eps_values=(1.0, 0.25),
                              out="./q/../p_eps0.25.csv", out_prefix="p"),
+            # retired: it printed the rows of "both"
+            ExperimentConfig(kind="chsh", chsh_mode="mc"),
         ],
     )
     def test_validation_rejects(self, config):
@@ -264,6 +306,23 @@ class TestRunChsh:
         monkeypatch.setattr(qmachine.harness, "chsh_estimate", estimate)
         config = ExperimentConfig(kind="chsh", trials=100, out=str(tmp_path / "chsh.csv"))
         assert run(config) == code
+
+    # every term saturates at the Tsirelson setting for eps <= 1/sqrt(2), so
+    # sigma is 0 and the row passes only if S_mc is S_analytic bit for bit
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.25, 0.5, 0.7])
+    def test_saturated_rows_hit_the_closed_form_exactly(self, tmp_path, eps, seed):
+        setting = ChshSetting.from_plane_degrees(*TSIRELSON_ANGLES_DEG)
+        assert chsh_sigma(setting, ElasticSpec(eps, 0.0), 1000) == 0.0
+        out = tmp_path / "chsh.json"
+        config = ExperimentConfig(
+            kind="chsh", epsilon=eps, trials=1000, seed=seed, out=str(out),
+            output_format="json",
+        )
+        assert run(config) == EXIT_OK
+        row = json.loads(out.read_text())["rows"][0]
+        assert repr(row["S_mc"]) == repr(row["S_analytic"])
+        assert row["stderr"] == 0.0
 
     def test_optimized_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
