@@ -21,6 +21,7 @@ from .geometry import Direction, ElasticSpec, axis_coordinate
 _PAIR_TOL = 1e-12
 _HERMITIAN_TOL = 1e-12
 _EIGENVALUE_TOL = 1e-10
+_UNIFORM = ElasticSpec(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,18 @@ def quantum_probabilities(v: Direction, u: Direction) -> ProbabilityPair:
     the break point is uniform on [-1, 1] and the particle at t = v.u goes up
     exactly when the band snaps below it.
     """
-    t = axis_coordinate(v, u)
-    p1 = 0.5 * (1.0 + t)
-    return ProbabilityPair(p1, 1.0 - p1)
+    return epsilon_probabilities(v, u, _UNIFORM)
+
+
+def _clip(x, eps: float):
+    """``(c, h)`` for the offset ``x = t - d``, a scalar or an array: ``x``
+    clipped to [-eps, eps] and ``h = eps``, or ``sign(x)`` and ``h = 1`` at
+    eps = 0.  The clamp law is ``c / h`` and p1 is ``(c + h) / (2 h)``."""
+    if eps == 0.0:
+        return np.sign(x), 1.0
+    if isinstance(x, np.ndarray):
+        return np.clip(x, -eps, eps), eps
+    return min(max(x, -eps), eps), eps
 
 
 def probabilities_from_axis(t: float, elastic: ElasticSpec) -> ProbabilityPair:
@@ -111,22 +121,12 @@ def probabilities_from_axis(t: float, elastic: ElasticSpec) -> ProbabilityPair:
     particle down (p1 = 0); above it every break pulls it up (p1 = 1); on the
     segment the break point is uniform, giving p1 = (t - d + eps)/(2 eps).
     For epsilon = 0 the segment is the single point d and the exact tie
-    t = d resolves by a fair coin.
+    t = d resolves by a fair coin; so does a band whose width rounds to 0.
     """
     if not -1.0 <= t <= 1.0:
         raise ValueError(f"axis coordinate must be in [-1, 1], got {t!r}")
-    eps, d = elastic.epsilon, elastic.d
-    if eps == 0.0:
-        if t < d:
-            return ProbabilityPair(0.0, 1.0)
-        if t > d:
-            return ProbabilityPair(1.0, 0.0)
-        return ProbabilityPair(0.5, 0.5)  # fair-coin tie rule
-    if t <= elastic.break_lower:
-        return ProbabilityPair(0.0, 1.0)
-    if t >= elastic.break_upper:
-        return ProbabilityPair(1.0, 0.0)
-    p1 = (t - d + eps) / (2.0 * eps)
+    c, h = _clip(t - elastic.d, elastic.epsilon)
+    p1 = (c + h) / (2.0 * h)
     return ProbabilityPair(p1, 1.0 - p1)
 
 
@@ -142,17 +142,16 @@ def _clamp_law(x, eps: float):
     Clipping x to [-eps, eps] before the division gives the same bits as
     clipping x / eps to [-1, 1], and cannot overflow for a subnormal eps.
     """
-    if eps == 0.0:
-        return np.sign(x)
-    return np.clip(x, -eps, eps) / eps
+    c, h = _clip(x, eps)
+    return c / h
 
 
 def expectation_from_axis(t: float, elastic: ElasticSpec) -> float:
     """Mean +/-1 outcome value at axis coordinate ``t``.
 
     Equals clamp((t - d)/eps, -1, +1) for eps > 0 and sign(t - d) for
-    eps = 0 (0 at the tie); identical to p1 - p2 of
-    :func:`probabilities_from_axis`.
+    eps = 0 (0 at the tie).  p1 - p2 of :func:`probabilities_from_axis`
+    agrees up to rounding, and exactly where this value is -1, 0 or +1.
     """
     if not -1.0 <= t <= 1.0:
         raise ValueError(f"axis coordinate must be in [-1, 1], got {t!r}")

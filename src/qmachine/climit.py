@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -279,19 +279,7 @@ class DoubleSlitReport:
     rows: tuple[DoubleSlitRow, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "peak_ratio": self.peak_ratio,
-            "collapse_threshold": self.collapse_threshold,
-            "rows": [
-                {
-                    "epsilon": r.epsilon,
-                    "n_clusters": r.n_clusters,
-                    "cluster_spans": [list(s) for s in r.cluster_spans],
-                    "taller_survives": r.taller_survives,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def double_slit_scenario(peak_ratio: float, eps_values) -> DoubleSlitReport:

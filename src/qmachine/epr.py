@@ -63,7 +63,7 @@ class EntangledPair:
     """Two rod-coupled particles, initially at their sphere centers.
 
     Neither particle has a surface position before the first measurement;
-    localizing either wing forces the partner to the antipodal point.
+    localizing the left wing forces the right one to the antipodal point.
     """
 
     left: SphereState | None = None
@@ -78,12 +78,6 @@ class EntangledPair:
             raise ValueError("pair is already localized")
         self.left = SphereState(position)
         self.right = SphereState(-position)
-
-    def localize_right(self, position: Direction) -> None:
-        if self.collapsed:
-            raise ValueError("pair is already localized")
-        self.right = SphereState(position)
-        self.left = SphereState(-position)
 
 
 @dataclass(frozen=True)

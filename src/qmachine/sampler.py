@@ -371,19 +371,24 @@ def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return u
 
 
+def _settle(up: np.ndarray, tie: np.ndarray, coins) -> np.ndarray:
+    """``up`` with its ``k`` ties set to the fair coins ``coins(k)`` in index
+    order, drawn only for ``k > 0``; when every trial ties, they are the outcomes."""
+    k = np.count_nonzero(tie)
+    if k == len(up):
+        return coins(k)
+    if k:
+        up[tie] = coins(k)
+    return up
+
+
 def _resolve(lam: np.ndarray, t, rs: RandomStream) -> np.ndarray:
     """Vectorized outcome rule with fair-coin ties; True means O1.
 
-    ``lam`` and ``t`` are scalars or arrays.  One coin is drawn from ``rs``,
-    a stream or a generator, per exact tie, in index order, and only when
-    ties occur.
+    ``lam`` and ``t`` are scalars or arrays, at least one an array; the tie
+    coins come from ``rs``, a stream or a generator, through :func:`_settle`.
     """
-    up = lam < t
-    tie = lam == t
-    k = np.count_nonzero(tie)
-    if k:
-        up[tie] = rs.random(k) < 0.5
-    return up
+    return _settle(lam < t, lam == t, lambda k: rs.random(k) < 0.5)
 
 
 # ``random`` returns k * 2**-53 for an integer k in [0, 2**53)
@@ -496,11 +501,7 @@ def _resolve_cut(x: np.ndarray, cut, rs: RandomStream, flip=None, flip_cut=None)
         if flip is not None:
             tie ^= (tie ^ _below(x, flip_cut[1])) & flip
         tie ^= up  # a draw below its cut is below its tie bound too
-        k = np.count_nonzero(tie)
-        if k == len(up):
-            return _coins(rs, k)
-        if k:
-            up[tie] = _coins(rs, k)
+        return _settle(up, tie, lambda k: _coins(rs, k))
     return up
 
 
@@ -538,13 +539,11 @@ def _severed_block(rs: RandomStream, m: int, elastic: ElasticSpec):
     else:
         coins = rs.generator_at(2 * m)
         lam = _scaled(coins.random(m), lo, hi)
-    a_up, a_ties = lam < t, np.flatnonzero(lam == t)
+    a_up, a_tie = lam < t, lam == t
     _scaled(states.random(out=t), -1.0, 1.0)
     if elastic.epsilon != 0.0:
         _scaled(coins.random(out=lam), lo, hi)
-    if len(a_ties):
-        a_up[a_ties] = coins.random(len(a_ties)) < 0.5
-    return a_up, _resolve(lam, t, coins)
+    return _settle(a_up, a_tie, lambda k: coins.random(k) < 0.5), _resolve(lam, t, coins)
 
 
 def run_trials(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmachine.analytic import (
@@ -34,6 +34,8 @@ BANDS = [
     ElasticSpec(0.1, 0.0),
     ElasticSpec(0.0, 0.0),
     ElasticSpec(0.0, 0.25),
+    # eps > 0, but d - eps and d + eps both round to d: a tie at t = d
+    ElasticSpec(1e-300, 1.0),
 ]
 
 
@@ -104,8 +106,8 @@ class TestEpsilonProbabilities:
         band = ElasticSpec(1.0, 0.0)
         for v, u in random_pairs(1000, seed=22):
             a = epsilon_probabilities(v, u, band)
-            b = quantum_probabilities(v, u)
-            assert abs(a.p1 - b.p1) <= 1e-12
+            assert a == quantum_probabilities(v, u)
+            assert a.p1 == 0.5 * (1.0 + axis_coordinate(v, u))
 
     def test_normalization(self):
         rng = np.random.default_rng(23)
@@ -146,6 +148,43 @@ class TestExpectation:
                 pair = probabilities_from_axis(float(t), band)
                 e = expectation_from_axis(float(t), band)
                 assert abs(e - (pair.p1 - pair.p2)) <= 1e-12
+
+
+@st.composite
+def band_and_axis(draw):
+    """A band with eps in {0, 5e-324, 1e-300} or [1e-12, 1], and an axis
+    coordinate that half the time sits on d, d - eps or d + eps, or on a
+    float neighbour of one of them."""
+    eps = draw(st.sampled_from((0.0, 5e-324, 1e-300)) | st.floats(1e-12, 1.0))
+    d = draw(st.floats(-1.0, 1.0)) * (1.0 - eps)
+    if draw(st.booleans()):
+        t = draw(st.sampled_from((d, d - eps, d + eps)))
+        t = draw(st.sampled_from((t, math.nextafter(t, -2.0), math.nextafter(t, 2.0))))
+        t = min(1.0, max(-1.0, t))
+    else:
+        t = draw(st.floats(-1.0, 1.0))
+    return ElasticSpec(eps, d), t
+
+
+class TestBandEdges:
+    @settings(max_examples=500, deadline=None)
+    @given(case=band_and_axis())
+    # c + eps = 2 - 2**-53 rounds to 2, so p1 = 1 while E = 1 - 2**-53
+    @example(case=(ElasticSpec(1.0, 0.0), math.nextafter(1.0, 0.0)))
+    @example(case=(ElasticSpec(1e-300, 1.0), 1.0))
+    def test_probability_and_expectation_saturate_together(self, case):
+        band, t = case
+        p1 = probabilities_from_axis(t, band).p1
+        e = expectation_from_axis(t, band)
+        if abs(e) == 1.0:
+            assert p1 in (0.0, 1.0)
+        # the converse: p1 = 0 only at E = -1, and p1 = 1 only within one
+        # rounding of E = 1, where (c + eps) rounds up to 2 eps
+        assert (p1 == 0.0) == (e == -1.0)
+        if p1 == 1.0:
+            assert e >= 1.0 - 2.0**-52
+        if e == 0.0:
+            assert p1 == 0.5
 
 
 class TestSpinor:

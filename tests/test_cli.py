@@ -45,6 +45,13 @@ class TestSpinCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    # a band whose width rounds to 0 at d ties there like the rigid band
+    @pytest.mark.parametrize("epsilon", ["1e-300", "0"], ids=["zero-width", "rigid"])
+    def test_tie_at_d_is_a_fair_coin(self, epsilon, capsys):
+        rc = run_cli("spin", "--theta-deg", "0", "--epsilon", epsilon, "--d", "1", "-n", "10000")
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[6] == "0.5"
+
     def test_stdout_output(self, capsys):
         rc = run_cli("spin", "-n", "2000", "--seed", "1")
         assert rc == 0

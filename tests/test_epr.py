@@ -162,17 +162,11 @@ class TestEntangledPair:
         assert pair.left.position == d
         assert pair.right.position == -d
 
-    def test_localize_right(self):
-        pair = EntangledPair()
-        d = Direction(0.0, 1.0, 0.0)
-        pair.localize_right(d)
-        assert pair.left.position == -d
-
     def test_cannot_localize_twice(self):
         pair = EntangledPair()
         pair.localize_left(Direction(0, 0, 1))
         with pytest.raises(ValueError):
-            pair.localize_right(Direction(1, 0, 0))
+            pair.localize_left(Direction(1, 0, 0))
 
     def test_cannot_measure_collapsed_pair(self):
         pair = EntangledPair()

@@ -58,7 +58,9 @@ def test_check_sees_unused_and_marked_imports():
 
 # the sampler internals that read a block's draws, and the stream methods
 # that reach its generator: only ``sampler``'s block kernels use them
-DRAW_INTERNALS = {"_resolve", "_resolve_cut", "_scaled", "_coins", "_below", "_NO_DRAWS"}
+DRAW_INTERNALS = {
+    "_resolve", "_resolve_cut", "_settle", "_scaled", "_coins", "_below", "_NO_DRAWS"
+}
 GENERATOR_CALLS = {"_generator", "generator_at"}
 
 
