@@ -9,7 +9,6 @@ from .geometry import (
     ElasticSpec,
     Outcome,
     SphereState,
-    angle_between,
     axis_coordinate,
 )
 from .analytic import (
@@ -18,7 +17,6 @@ from .analytic import (
     Spinor,
     born_probabilities,
     epsilon_probabilities,
-    expectation,
     expectation_from_axis,
     linearity_deviation,
     probabilities_from_axis,
@@ -63,7 +61,6 @@ from .climit import (
     gaussian_grid,
     load_density_csv,
     localization,
-    region_mass,
     save_density_csv,
     threshold_for_mass,
 )

@@ -42,11 +42,6 @@ class ProbabilityPair:
         object.__setattr__(self, "p1", min(1.0, max(0.0, p1)))
         object.__setattr__(self, "p2", min(1.0, max(0.0, p2)))
 
-    @property
-    def expectation(self) -> float:
-        """p1 - p2, the mean of the +/-1 outcome values."""
-        return self.p1 - self.p2
-
 
 @dataclass(frozen=True)
 class Spinor:
@@ -88,9 +83,6 @@ class SpinOperator:
             raise ValueError(f"eigenvalues are not +/- 1/2: {eigs}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    def apply(self, state: Spinor) -> np.ndarray:
-        return self.matrix @ state.as_array()
 
 
 def quantum_probabilities(v: Direction, u: Direction) -> ProbabilityPair:
@@ -156,11 +148,6 @@ def expectation_from_axis(t: float, elastic: ElasticSpec) -> float:
     if not -1.0 <= t <= 1.0:
         raise ValueError(f"axis coordinate must be in [-1, 1], got {t!r}")
     return float(_clamp_law(t - elastic.d, elastic.epsilon))
-
-
-def expectation(v: Direction, u: Direction, elastic: ElasticSpec) -> float:
-    """Mean +/-1 outcome value for state v measured along u."""
-    return expectation_from_axis(axis_coordinate(v, u), elastic)
 
 
 def spinor_from_direction(v: Direction) -> Spinor:

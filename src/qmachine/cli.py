@@ -41,10 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with config defaults")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--seed", type=int, dest="seed")
+
+    def threaded(p):
+        common(p)
         p.add_argument("--workers", type=int, dest="workers")
 
     spin = sub.add_parser("spin", help="single measurement experiment")
-    common(spin)
+    threaded(spin)
     spin.add_argument("--theta-deg", type=float, dest="theta_deg")
     spin.add_argument("--epsilon", type=float, dest="epsilon")
     spin.add_argument("--d", type=float, dest="d")
@@ -52,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     spin.add_argument("--format", choices=("csv", "json"), dest="output_format")
 
     sweep = sub.add_parser("sweep", help="grid over theta x epsilon x d")
-    common(sweep)
+    threaded(sweep)
     sweep.add_argument("--theta-grid", type=_float_list, dest="theta_grid")
     sweep.add_argument("--epsilon-grid", type=_float_list, dest="epsilon_grid")
     sweep.add_argument("--d-grid", type=_float_list, dest="d_grid")
@@ -60,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", choices=("csv", "json"), dest="output_format")
 
     chsh = sub.add_parser("chsh", help="rod-coupled pair CHSH values")
-    common(chsh)
+    threaded(chsh)
     chsh.add_argument("--epsilon", type=float, dest="epsilon")
     chsh.add_argument("--epsilon-grid", type=_float_list, dest="epsilon_grid")
     angles = chsh.add_mutually_exclusive_group()

@@ -60,14 +60,6 @@ class DensityGrid:
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_wavefunction(cls, x0: float, dx: float, psi) -> "DensityGrid":
-        """Build from complex amplitude samples; the density is |psi|^2."""
-        psi = np.asarray(psi, dtype=complex)
-        if not np.isfinite(psi).all():
-            raise ValueError("wavefunction samples must be finite")
-        return cls(x0, dx, np.abs(psi) ** 2)
-
     @property
     def n(self) -> int:
         return self.values.size
@@ -75,9 +67,6 @@ class DensityGrid:
     @property
     def positions(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
-
-    def mass(self) -> float:
-        return float(self.values.sum()) * self.dx
 
 
 def threshold_for_mass(grid: DensityGrid, eps: float) -> float:
@@ -193,23 +182,6 @@ def localization(grid: DensityGrid) -> Localization:
     var = float((v * (x - mean) ** 2).sum()) * grid.dx
     width = float(np.count_nonzero(v > 0.0)) * grid.dx
     return Localization(tuple(float(m) for m in modes), width, var, mean)
-
-
-def region_mass(grid: DensityGrid, x_lo: float, x_hi: float) -> float:
-    """Mass inside [x_lo, x_hi].
-
-    Each node owns the cell [x - dx/2, x + dx/2]; the region integrates the
-    overlapped cell fractions, so masses of adjoining regions add exactly.
-    """
-    x_lo, x_hi = float(x_lo), float(x_hi)
-    if not (np.isfinite(x_lo) and np.isfinite(x_hi)) or x_lo >= x_hi:
-        raise ValueError(f"need x_lo < x_hi, got [{x_lo!r}, {x_hi!r}]")
-    x = grid.positions
-    half = 0.5 * grid.dx
-    overlap = np.clip(
-        np.minimum(x + half, x_hi) - np.maximum(x - half, x_lo), 0.0, grid.dx
-    )
-    return float((grid.values * overlap).sum())
 
 
 # ---------------------------------------------------------------------------

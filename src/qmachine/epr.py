@@ -211,12 +211,17 @@ def chsh_analytic(setting: ChshSetting, elastic: ElasticSpec) -> float:
     return e1 + e2 + e3 - e4
 
 
+def _chsh_stderr(terms, n: int) -> float:
+    """Standard deviation of S = e1 + e2 + e3 - e4 with ``n`` pairs per
+    +/-1 term of mean e."""
+    return math.sqrt(sum((1.0 - e * e) / n for e in terms))
+
+
 def chsh_sigma(setting: ChshSetting, elastic: ElasticSpec, n: int) -> float:
     """Standard deviation of a Monte Carlo S with ``n`` pairs per term, from
     the closed-form terms; unlike the sample stderr it is not 0 when every
     pair of a term happens to agree."""
-    terms = (correlation_analytic(x, y, elastic) for x, y in setting.pairs)
-    return math.sqrt(sum((1.0 - e * e) / n for e in terms))
+    return _chsh_stderr((correlation_analytic(x, y, elastic) for x, y in setting.pairs), n)
 
 
 def chsh_estimate(
@@ -229,8 +234,7 @@ def chsh_estimate(
         for k, (x, y) in enumerate(setting.pairs)
     )
     value = est[0] + est[1] + est[2] - est[3]
-    stderr = math.sqrt(sum((1.0 - e * e) / n for e in est))
-    return ChshEstimate(value, stderr, est)
+    return ChshEstimate(value, _chsh_stderr(est, n), est)
 
 
 def max_chsh(elastic: ElasticSpec, resolution_deg=None) -> float:

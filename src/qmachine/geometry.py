@@ -71,13 +71,6 @@ class SphereState:
 
     position: Direction
 
-    def same_point(self, other: "SphereState", tol: float = 1e-12) -> bool:
-        """Vector equality within ``tol``, componentwise."""
-        p, q = self.position, other.position
-        return (
-            abs(p.x - q.x) <= tol and abs(p.y - q.y) <= tol and abs(p.z - q.z) <= tol
-        )
-
 
 @dataclass(frozen=True)
 class ElasticSpec:
@@ -125,11 +118,6 @@ class Outcome(Enum):
     O1 = 1
     O2 = -1
 
-    @property
-    def sign(self) -> int:
-        """+1 for O1, -1 for O2; the usual spin-valued encoding."""
-        return self.value
-
 
 def axis_coordinate(v: Direction, u: Direction) -> float:
     """Orthogonal-projection coordinate of v on the u axis: t = v.u = cos(theta).
@@ -139,16 +127,3 @@ def axis_coordinate(v: Direction, u: Direction) -> float:
     the particle sticks to it at t.
     """
     return min(1.0, max(-1.0, v.dot(u)))
-
-
-def angle_between(v: Direction, u: Direction) -> float:
-    """Angle in [0, pi] between two directions.
-
-    Computed from atan2 of the cross and dot products, which stays accurate
-    near 0 and pi where arccos loses precision.
-    """
-    cx = v.y * u.z - v.z * u.y
-    cy = v.z * u.x - v.x * u.z
-    cz = v.x * u.y - v.y * u.x
-    cross = math.sqrt(cx * cx + cy * cy + cz * cz)
-    return math.atan2(cross, v.dot(u))

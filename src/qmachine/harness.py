@@ -261,11 +261,11 @@ def _run_sweep(config: ExperimentConfig) -> int:
 def _run_chsh(config: ExperimentConfig) -> int:
     epsilons = config.epsilon_grid or (config.epsilon,)
     root = RandomStream(config.seed)
+    angles = tuple(float(x) for x in config.angles_deg)
+    setting = ChshSetting.from_plane_degrees(*angles)
     rows, all_ok = [], True
     for index, eps in enumerate(epsilons):
         elastic = ElasticSpec(eps, 0.0)
-        angles = tuple(float(x) for x in config.angles_deg)
-        setting = ChshSetting.from_plane_degrees(*angles)
         s_analytic = chsh_analytic(setting, elastic)
         s_mc = stderr = None
         if config.chsh_mode == "both":

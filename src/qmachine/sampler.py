@@ -230,15 +230,8 @@ class FrequencyTable:
     def total(self) -> int:
         return self.n_o1 + self.n_o2
 
-    @property
-    def counts(self) -> dict[Outcome, int]:
-        return {Outcome.O1: self.n_o1, Outcome.O2: self.n_o2}
-
     def frequency(self, outcome: Outcome) -> float:
         return (self.n_o1 if outcome is Outcome.O1 else self.n_o2) / self.total
-
-    def __add__(self, other: "FrequencyTable") -> "FrequencyTable":
-        return FrequencyTable(self.n_o1 + other.n_o1, self.n_o2 + other.n_o2)
 
 
 def sample_break_point(elastic: ElasticSpec, rng: RandomStream) -> float:

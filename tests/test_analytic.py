@@ -12,7 +12,6 @@ from qmachine.analytic import (
     SpinOperator,
     born_probabilities,
     epsilon_probabilities,
-    expectation,
     expectation_from_axis,
     linearity_deviation,
     probabilities_from_axis,
@@ -48,7 +47,7 @@ def random_pairs(count, seed):
 class TestProbabilityPair:
     def test_valid(self):
         p = ProbabilityPair(0.25, 0.75)
-        assert p.expectation == -0.5
+        assert (p.p1, p.p2) == (0.25, 0.75)
 
     @pytest.mark.parametrize("p1,p2", [(0.5, 0.6), (-0.01, 1.01), (1.2, -0.2)])
     def test_invalid(self, p1, p2):
@@ -131,7 +130,7 @@ class TestExpectation:
     def test_linear_at_full_band(self):
         band = ElasticSpec(1.0, 0.0)
         for v, u in random_pairs(300, seed=24):
-            assert expectation(v, u, band) == pytest.approx(
+            assert expectation_from_axis(axis_coordinate(v, u), band) == pytest.approx(
                 axis_coordinate(v, u), abs=1e-15
             )
 
@@ -237,7 +236,7 @@ class TestSpinOperator:
         rng = np.random.default_rng(27)
         for _ in range(200):
             u = Direction(*rng.standard_normal(3))
-            applied = spin_operator(u).apply(spinor_from_direction(u))
+            applied = spin_operator(u).matrix @ spinor_from_direction(u).as_array()
             assert np.abs(applied - 0.5 * spinor_from_direction(u).as_array()).max() <= 1e-10
 
     def test_rejects_non_hermitian(self):
@@ -270,7 +269,7 @@ class TestBornProbabilities:
     def test_operator_expectation_is_half_cosine(self):
         for v, u in random_pairs(200, seed=29):
             psi = spinor_from_direction(v)
-            value = np.vdot(psi.as_array(), spin_operator(u).apply(psi)).real
+            value = np.vdot(psi.as_array(), spin_operator(u).matrix @ psi.as_array()).real
             assert value == pytest.approx(0.5 * v.dot(u), abs=1e-12)
 
 

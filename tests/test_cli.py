@@ -386,8 +386,10 @@ class TestValidationFailures:
     @pytest.mark.parametrize(
         "argv",
         [("climit", "--fixture", "gaussian"), ("chsh", "--optimal", "--angles", "1,2,3,4"),
-         ("chsh", "--mode", "mc")],
-        ids=["climit-fixture", "chsh-optimal-with-angles", "chsh-mode-mc"],
+         ("chsh", "--mode", "mc"), ("climit", "--workers", "2"),
+         ("doubleslit", "--workers", "2")],
+        ids=["climit-fixture", "chsh-optimal-with-angles", "chsh-mode-mc",
+             "climit-workers", "doubleslit-workers"],
     )
     def test_retired_or_conflicting_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

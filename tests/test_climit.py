@@ -15,7 +15,6 @@ from qmachine.climit import (
     gaussian_grid,
     load_density_csv,
     localization,
-    region_mass,
     save_density_csv,
     threshold_for_mass,
 )
@@ -61,7 +60,7 @@ def triangle_grid(n=20001, apex=0.0):
 class TestDensityGrid:
     def test_renormalizes_small_corrections_silently(self):
         g = gaussian_grid(501)
-        assert g.mass() == pytest.approx(1.0, abs=1e-12)
+        assert float(g.values.sum()) * g.dx == pytest.approx(1.0, abs=1e-12)
 
     def test_warns_on_large_renormalization(self):
         with pytest.warns(UserWarning, match="renormalized") as record:
@@ -87,15 +86,6 @@ class TestDensityGrid:
         g = uniform_grid()
         with pytest.raises(ValueError):
             g.values[0] = 5.0
-
-    def test_from_wavefunction_squares_moduli(self):
-        x = np.linspace(-1, 1, 201)
-        dx = x[1] - x[0]
-        amp = np.exp(-x * x)
-        amp /= np.sqrt((amp * amp).sum() * dx)
-        g = DensityGrid.from_wavefunction(-1.0, dx, amp * np.exp(1j * x))
-        direct = DensityGrid(-1.0, dx, amp * amp)
-        assert np.allclose(g.values, direct.values, atol=1e-12)
 
     def test_positions(self):
         g = DensityGrid(2.0, 0.5, np.array([0.5, 0.5, 0.5, 0.5]))
@@ -286,55 +276,12 @@ class TestLocalization:
         assert distances[0] > distances[1] > distances[2]
 
 
-class TestRegionMass:
-    def test_full_domain(self):
-        g = gaussian_grid(501)
-        half = g.dx / 2
-        full = region_mass(g, g.x0 - half, g.positions[-1] + half)
-        assert full == pytest.approx(1.0, abs=1e-9)
-
-    def test_half_of_symmetric_density(self):
-        g = gaussian_grid(501)
-        assert region_mass(g, -10.0, 0.0) == pytest.approx(0.5, abs=g.dx * g.values.max())
-
-    def test_additive_over_adjoining_intervals(self):
-        g = gaussian_grid(701)
-        rng = np.random.default_rng(61)
-        for _ in range(50):
-            lo, hi = np.sort(rng.uniform(-5, 5, 2))
-            if hi - lo < 1e-3:
-                continue
-            mid = rng.uniform(lo, hi)
-            whole = region_mass(g, lo, hi)
-            parts = region_mass(g, lo, mid) + region_mass(g, mid, hi)
-            assert abs(whole - parts) <= 1e-9
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        grid=random_grids(max_points=300),
-        cuts=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).map(sorted),
-    )
-    def test_additive_over_adjoining_intervals_on_random_grids(self, grid, cuts):
-        # three cut points spread over the grid and a cell beyond each end
-        span = (grid.n + 1) * grid.dx
-        lo, mid, hi = (grid.x0 - grid.dx + f * span for f in cuts)
-        assume(lo < mid < hi)
-        parts = region_mass(grid, lo, mid) + region_mass(grid, mid, hi)
-        assert abs(region_mass(grid, lo, hi) - parts) <= 1e-12
-
-    def test_double_slit_half_mass_behind_slit_one(self):
-        g = double_slit_grid(1.0)
-        assert region_mass(g, -4.5, 0.0) == pytest.approx(0.5, abs=1e-3)
-
-    def test_rejects_degenerate_interval(self):
-        g = uniform_grid()
-        with pytest.raises(ValueError):
-            region_mass(g, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            region_mass(g, 0.7, 0.2)
-
-
 class TestDoubleSlit:
+    def test_half_mass_behind_slit_one(self):
+        g = double_slit_grid(1.0)
+        behind = float(g.values[g.positions < 0.0].sum()) * g.dx
+        assert behind == pytest.approx(0.5, abs=1e-3)
+
     def test_equal_peaks_keep_two_clusters(self):
         report = double_slit_scenario(1.0, (0.9, 0.5, 0.1, 0.01, 0.001))
         assert all(row.n_clusters == 2 for row in report.rows)

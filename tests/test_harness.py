@@ -356,7 +356,7 @@ class TestRunClimit:
         from qmachine.climit import load_density_csv
 
         transformed = load_density_csv(tmp_path / "density_eps0.01.csv")
-        assert transformed.mass() == pytest.approx(1.0, abs=1e-9)
+        assert float(transformed.values.sum()) * transformed.dx == pytest.approx(1.0, abs=1e-9)
 
     def test_eps_sharing_a_file_name_is_rejected_before_any_work(self, tmp_path):
         out = tmp_path / "climit.json"

@@ -5,6 +5,9 @@ tree, so this check catches the imports a deletion leaves behind.
 ``__init__.py`` is skipped, since it imports only to re-export, and so is
 any import line marked ``# noqa``.
 
+Every name ``__init__.py`` exports has a caller: a module of the package,
+a demo or a benchmark script reads it, or the README names it.
+
 ``epr`` turns no block's stream into outcomes itself: it imports none of
 the sampler internals that do, and calls no stream's generator, so the draw
 order of every block kernel lives in ``sampler`` alone.
@@ -13,6 +16,7 @@ order of every block kernel lives in ``sampler`` alone.
 import ast
 import glob
 import os
+import re
 
 import pytest
 
@@ -22,6 +26,14 @@ MODULES = sorted(
     path for path in glob.glob(os.path.join(PACKAGE, "*.py"))
     if os.path.basename(path) != "__init__.py"
 )
+CALLERS = MODULES + sorted(
+    glob.glob(os.path.join(ROOT, "demos", "*.py")) + glob.glob(os.path.join(ROOT, "bench", "*.py"))
+)
+
+
+def read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,13 +59,53 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_every_import_is_used(path):
-    with open(path, encoding="utf-8") as fh:
-        assert unused_imports(fh.read()) == []
+    assert unused_imports(read(path)) == []
 
 
 def test_check_sees_unused_and_marked_imports():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(pi)\n"
     assert unused_imports(source) == ["os (line 1)", "tau (line 3)"]
+
+
+def names_read(source: str) -> set[str]:
+    """The names ``source`` reads, the attributes it reads and the names it imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def uncalled_exports(init: str, callers: list[str], readme: str) -> list[str]:
+    """The names ``init`` imports that no caller source reads and that
+    ``readme`` neither opens a backtick span with nor calls as ``name(``."""
+    exported = [
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init)) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    read_somewhere = set().union(*map(names_read, callers))
+    return sorted(
+        name for name in exported
+        if name not in read_somewhere and not re.search(rf"`{name}\b|\b{name}\(", readme)
+    )
+
+
+def test_every_export_has_a_caller():
+    init = read(os.path.join(PACKAGE, "__init__.py"))
+    readme = read(os.path.join(ROOT, "README.md"))
+    assert uncalled_exports(init, [read(path) for path in CALLERS], readme) == []
+
+
+def test_check_sees_uncalled_exports():
+    init = "from .a import named, attr, imported, quoted, called, gone, gone_too\n"
+    callers = ["named + 1\n", "x.attr\n", "from qmachine import imported\n"]
+    readme = "`quoted` and called(x); `gone_too_far` and gone_too (x)\n"
+    assert uncalled_exports(init, callers, readme) == ["gone", "gone_too"]
 
 
 # the sampler internals that read a block's draws, and the stream methods
@@ -83,8 +135,7 @@ def draw_internals_used(source: str) -> list[str]:
 
 
 def test_epr_leaves_block_draws_to_sampler():
-    with open(os.path.join(PACKAGE, "epr.py"), encoding="utf-8") as fh:
-        assert draw_internals_used(fh.read()) == []
+    assert draw_internals_used(read(os.path.join(PACKAGE, "epr.py"))) == []
 
 
 def test_check_sees_draw_internals():
