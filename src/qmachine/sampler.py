@@ -12,16 +12,22 @@ out substreams never builds one; ``substream`` never touches the parent's
 generator, so the threads of :func:`_map_blocks` call it on a shared root.
 
 Bulk runs partition trials into fixed-size blocks; block ``j`` draws from
-``substream(j)`` only.  Three block kernels turn a block's stream into
-outcomes: :func:`_spin_block` (one wing), :func:`_pair_block` (rod-coupled
-pairs) and :func:`_severed_block` (the rod cut); the public kernels here and
-in :mod:`qmachine.epr` reduce them.  One dispatcher, :func:`_map_blocks`,
-runs the blocks through :func:`_map_indexed`, which runs any list of
-independent tasks on threads, the calling thread one of them.  Results are
-therefore bit-identical no matter how many workers execute the blocks, and
-aggregation is a plain sum of counts, which commutes.  Philox is
-counter-based, so ``generator_at(offset)`` starts a second generator at any
-draw of a stream without drawing the ones before it.
+``substream(j)`` only.  Three block kernels turn a block's draws into
+outcomes: :func:`_spin_block` (one wing) reads a word source, a callable
+``words(k)`` that returns the next ``k`` words, such as a stream's
+``words``; :func:`_pair_block` (rod-coupled pairs) and
+:func:`_severed_block` (the rod cut) take the block's stream.  The public
+kernels here and in :mod:`qmachine.epr` reduce them.  One dispatcher,
+:func:`_map_blocks`, runs the blocks through :func:`_map_indexed`, which
+runs any list of independent tasks on threads, the calling thread one of
+them.  Results are therefore bit-identical no matter how many workers
+execute the blocks, and aggregation is a plain sum of counts, which
+commutes.  Philox is counter-based, so a stream's draws are a pure function
+of ``(seed, spawn_key)``: a :func:`run_trials` call of one block reads that
+block's words straight from ``_philox(seed, spawn_key + (0,))``, the words
+of ``substream(0)`` bit for bit, with no dispatch, substream handle or
+``Generator``; and ``generator_at(offset)`` starts a second generator at
+any draw of a stream without drawing the ones before it.
 
 Within a block the draw order is fixed: one draw per snap point, then one
 coin per exact tie, in trial order, and only when ties occur.  Each draw is
@@ -56,6 +62,12 @@ from .geometry import Direction, ElasticSpec, Outcome, SphereState, axis_coordin
 BLOCK_SIZE = 1 << 16
 
 
+def _philox(seed: int, spawn_key: tuple[int, ...]) -> np.random.Philox:
+    """The Philox bit generator of the stream keyed ``(seed, spawn_key)``,
+    at its first draw; the caller has checked both."""
+    return np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key))
+
+
 class RandomStream:
     """Deterministic pseudo-random source, splittable into substreams.
 
@@ -82,8 +94,7 @@ class RandomStream:
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-            self._gen = np.random.Generator(np.random.Philox(seq))
+            self._gen = np.random.Generator(_philox(self.seed, self.spawn_key))
         return self._gen
 
     def generator_at(self, offset: int) -> np.random.Generator:
@@ -93,7 +104,7 @@ class RandomStream:
         offset = _whole(offset, "offset")
         if offset < 0:
             raise ValueError(f"offset must be non-negative, got {offset}")
-        bits = np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=self.spawn_key))
+        bits = _philox(self.seed, self.spawn_key)
         bits.advance(offset // 4)  # one Philox counter step makes four draws
         bits.random_raw(offset % 4)
         return np.random.Generator(bits)
@@ -469,17 +480,19 @@ def _below(x: np.ndarray, c: float) -> np.ndarray:
     return x < np.uint64(k << 11)
 
 
-def _coins(rs: RandomStream, k: int) -> np.ndarray:
-    """``k`` fair tie coins, True for O1: ``rs.random(k) < 0.5`` bit for bit."""
-    return rs.words(k) < _HALF
+def _coins(words, k: int) -> np.ndarray:
+    """``k`` fair tie coins from the word source ``words``, True for O1: for
+    ``words = rs.words``, ``rs.random(k) < 0.5`` bit for bit."""
+    return words(k) < _HALF
 
 
-def _resolve_cut(x: np.ndarray, cut, rs: RandomStream, flip=None, flip_cut=None) -> np.ndarray:
+def _resolve_cut(x: np.ndarray, cut, words, flip=None, flip_cut=None) -> np.ndarray:
     """:func:`_resolve` on the snap points of the words ``x``, read from the
     words through ``cut = _cut(elastic, t)``; True means O1.
 
     Where the bool mask ``flip`` is set, ``flip_cut``, the cut of ``-t``,
-    applies instead.  Tie coins are drawn as in :func:`_resolve`; the tie
+    applies instead.  Tie coins are drawn as in :func:`_resolve`, from the
+    word source ``words`` (``words(k)`` returns the next ``k`` words); the tie
     mask is built only when a cut has room for ties, and a block whose every
     trial ties takes its coins as its outcomes.
     """
@@ -494,16 +507,17 @@ def _resolve_cut(x: np.ndarray, cut, rs: RandomStream, flip=None, flip_cut=None)
         if flip is not None:
             tie ^= (tie ^ _below(x, flip_cut[1])) & flip
         tie ^= up  # a draw below its cut is below its tie bound too
-        return _settle(up, tie, lambda k: _coins(rs, k))
+        return _settle(up, tie, lambda k: _coins(words, k))
     return up
 
 
-def _spin_block(rs: RandomStream, m: int, elastic: ElasticSpec, cut, flip=None, flip_cut=None):
-    """One block of ``m`` trials of one wing: ``(up, words)``, ``up`` read
-    from the words through ``cut`` by :func:`_resolve_cut`.  At eps = 0 the
-    snap point is d whatever the draw, so none is made and zeros stand in."""
-    x = _NO_DRAWS[:m] if elastic.epsilon == 0.0 else rs.words(m)
-    return _resolve_cut(x, cut, rs, flip, flip_cut), x
+def _spin_block(words, m: int, elastic: ElasticSpec, cut, flip=None, flip_cut=None):
+    """One block of ``m`` trials of one wing, drawn from the word source
+    ``words``: ``(up, x)``, ``up`` read from the words ``x`` through ``cut``
+    by :func:`_resolve_cut`.  At eps = 0 the snap point is d whatever the
+    draw, so none is made and zeros stand in."""
+    x = _NO_DRAWS[:m] if elastic.epsilon == 0.0 else words(m)
+    return _resolve_cut(x, cut, words, flip, flip_cut), x
 
 
 def _pair_block(rs: RandomStream, m: int, elastic: ElasticSpec, cuts):
@@ -512,8 +526,8 @@ def _pair_block(rs: RandomStream, m: int, elastic: ElasticSpec, cuts):
     and at ``-t_ab``, where it lands after an up outcome; the left band
     ``(eps, 0)`` differs from ``elastic`` only in d, which no draw reads."""
     left_cut, right_cut, flipped_cut = cuts
-    a_up = _spin_block(rs, m, elastic, left_cut)[0]
-    return a_up, _spin_block(rs, m, elastic, right_cut, a_up, flipped_cut)[0]
+    a_up = _spin_block(rs.words, m, elastic, left_cut)[0]
+    return a_up, _spin_block(rs.words, m, elastic, right_cut, a_up, flipped_cut)[0]
 
 
 def _severed_block(rs: RandomStream, m: int, elastic: ElasticSpec):
@@ -550,22 +564,25 @@ def run_trials(
     """Aggregate ``n`` measurements of state v along axis u.
 
     ``seed`` may be an integer or a :class:`RandomStream`.  The outcome
-    counts are identical for any ``workers`` value.
+    counts are identical for any ``workers`` value.  A call of one block
+    reads the block's words straight from its Philox, with no dispatch and
+    no substream handle: they are the words of ``root.substream(0)``.
     """
     n, workers = _checked(n, workers)
     cut = _cut(elastic, axis_coordinate(v, u))
-    # a cut at 0 or 1 with no room for ties: every draw lands on one side
-    certain = cut[0] == cut[1] and cut[0] in (0.0, 1.0)
-    if certain:
-        # nothing is drawn, so the blocks run inline whatever ``workers`` is
-        workers = 1
+    root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
 
-    def count_block(rs: RandomStream, m: int, _start: int) -> int:
-        if certain:
-            return m if cut[0] else 0
-        return int(np.count_nonzero(_spin_block(rs, m, elastic, cut)[0]))
+    def count(words, m: int) -> int:
+        return int(np.count_nonzero(_spin_block(words, m, elastic, cut)[0]))
 
-    n1 = sum(_map_blocks(count_block, n, seed, workers))
+    if cut[0] == cut[1] and cut[0] in (0.0, 1.0):
+        # a cut at 0 or 1 with no room for ties: every draw lands on one
+        # side, so none is made
+        n1 = n if cut[0] else 0
+    elif n <= BLOCK_SIZE:
+        n1 = count(_philox(root.seed, root.spawn_key + (0,)).random_raw, n)
+    else:
+        n1 = sum(_map_blocks(lambda rs, m, _start: count(rs.words, m), n, root, workers))
     return FrequencyTable(n1, n - n1)
 
 
@@ -588,7 +605,7 @@ def run_recorded(
     break_points, o1 = np.empty(n), np.empty(n, dtype=bool)
 
     def record_block(rs: RandomStream, m: int, start: int) -> None:
-        o1[start:start + m], x = _spin_block(rs, m, elastic, cut)
+        o1[start:start + m], x = _spin_block(rs.words, m, elastic, cut)
         lam = break_points[start:start + m]
         if elastic.epsilon == 0.0:
             lam.fill(elastic.d)

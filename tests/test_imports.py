@@ -108,10 +108,10 @@ def test_check_sees_uncalled_exports():
     assert uncalled_exports(init, callers, readme) == ["gone", "gone_too"]
 
 
-# the sampler internals that read a block's draws, and the stream methods
-# that reach its generator: only ``sampler``'s block kernels use them
+# the sampler internals that build or read a block's draws, and the stream
+# methods that reach its generator: only ``sampler``'s block kernels use them
 DRAW_INTERNALS = {
-    "_resolve", "_resolve_cut", "_settle", "_scaled", "_coins", "_below", "_NO_DRAWS"
+    "_resolve", "_resolve_cut", "_settle", "_scaled", "_coins", "_below", "_NO_DRAWS", "_philox"
 }
 GENERATOR_CALLS = {"_generator", "generator_at"}
 

@@ -180,7 +180,7 @@ class TestRandomStream:
     def test_word_coins_are_the_double_coins(self):
         coins = RandomStream(22).words(20_000) < np.uint64(1 << 63)
         assert np.array_equal(coins, RandomStream(22).random(20_000) < 0.5)
-        assert np.array_equal(_coins(RandomStream(22), 20_000), coins)
+        assert np.array_equal(_coins(RandomStream(22).words, 20_000), coins)
         assert 9_000 < coins.sum() < 11_000
 
     def test_words_random_and_generator_at_read_one_sequence(self):
@@ -276,6 +276,21 @@ class TestGeneratorBuilds:
         # a rigid band on its own coordinate draws one coin per trial
         assert 0 < run_trials(direction_at(0.0), Z, ElasticSpec(0.0, 0.0), 1000, 5).n_o1 < 1000
         assert builds[0] == 1
+
+    def test_one_block_call_builds_block_zero_alone(self, monkeypatch):
+        keys = []
+        philox = qmachine.sampler._philox
+
+        def recording_philox(seed, spawn_key):
+            keys.append((seed, spawn_key))
+            return philox(seed, spawn_key)
+
+        monkeypatch.setattr(qmachine.sampler, "_philox", recording_philox)
+        # no uniform snap point reaches the pole
+        assert run_trials(Z, Z, ElasticSpec(1.0, 0.0), 1000, 5).n_o1 == 1000
+        assert keys == []
+        run_trials(direction_at(0.5), Z, ElasticSpec(1.0, 0.0), 1000, RandomStream(5, (2,)))
+        assert keys == [(5, (2, 0))]
 
 
 class TestSampleBreakPoint:
@@ -385,6 +400,49 @@ class TestRunTrials:
         v = direction_at(-0.1)
         table = run_trials(v, Z, ElasticSpec(0.0, 0.0), 10_000, 21)
         assert table.frequency(Outcome.O2) == 1.0
+
+    # (band, t): a drawn band; its lower end, where only draw 0 ties; every
+    # trial a tie coin, with no draw and with one per trial; a biased band
+    @pytest.mark.parametrize("band, t", [
+        (ElasticSpec(1.0, 0.0), 0.5),
+        (ElasticSpec(1.0, 0.0), -1.0),
+        (ElasticSpec(0.0, 0.2), 0.2),
+        (ElasticSpec(1e-300, 0.2), 0.2),
+        (ElasticSpec(0.5, 0.2), 0.6),
+    ])
+    @pytest.mark.parametrize("n", [1, 7, 1000, BLOCK_SIZE, BLOCK_SIZE + 1])
+    def test_one_block_call_reads_block_zero(self, band, t, n):
+        """A call of one block reads its words straight from a Philox; they
+        must be the words of ``root.substream(0)``, as in every dispatched
+        kernel."""
+        v = direction_at(t)
+        cut = _cut(band, axis_coordinate(v, Z))
+        seeds = [
+            (11, RandomStream(11)),
+            (RandomStream(11), RandomStream(11)),
+            (RandomStream(11).substream(3), RandomStream(11, (3,))),
+        ]
+        for seed, root in seeds:
+            n_o1 = run_trials(v, Z, band, n, seed).n_o1
+            assert n_o1 == int(run_recorded(v, Z, band, n, seed).o1.sum())
+            assert n_o1 == sum(
+                int(np.count_nonzero(_spin_block(root.substream(j).words, m, band, cut)[0]))
+                for j, m in enumerate(_block_lengths(n, BLOCK_SIZE))
+            )
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_one_block_call_checks_its_seed(self, seed):
+        band = ElasticSpec(1.0, 0.0)
+        raised = []
+        for n in (10, BLOCK_SIZE + 1):
+            with pytest.raises((TypeError, ValueError)) as error:
+                run_trials(direction_at(0.3), Z, band, n, seed)
+            raised.append((error.type, str(error.value)))
+        assert raised[0] == raised[1]
+
+    def test_one_block_call_takes_numpy_seeds(self):
+        v, band = direction_at(0.3), ElasticSpec(1.0, 0.0)
+        assert run_trials(v, Z, band, 10, np.int64(5)) == run_trials(v, Z, band, 10, 5)
 
     def test_oracle_agreement_grid(self):
         # |MC - analytic| <= 4 sqrt(p1 p2 / n) across (theta, eps, d)
@@ -742,11 +800,11 @@ class TestTieRule:
         lam = snap_points(ref_rs, band, m)
         if flip_p is None:
             expected = _resolve(lam, t, ref_rs)
-            got = _spin_block(cut_rs, m, band, _cut(band, t))[0]
+            got = _spin_block(cut_rs.words, m, band, _cut(band, t))[0]
         else:
             flip = np.random.default_rng(seed).random(m) < flip_p
             expected = _resolve(lam, np.where(flip, -t, t), ref_rs)
-            got = _spin_block(cut_rs, m, band, _cut(band, t), flip, _cut(band, -t))[0]
+            got = _spin_block(cut_rs.words, m, band, _cut(band, t), flip, _cut(band, -t))[0]
         assert np.array_equal(got, expected)
         # the same number of tie coins: both streams stand at the same draw
         assert cut_rs.random() == ref_rs.random()
@@ -797,15 +855,15 @@ class TestTieRule:
         assert _cut(band, 0.5) == (1.0, 1.0) and _cut(band, -0.5) == (0.0, 0.0)
         ref_rs, cut_rs = RandomStream(3), RandomStream(3)
         expected = _resolve(snap_points(ref_rs, band, 100), 0.3, ref_rs)
-        got = _spin_block(cut_rs, 100, band, _cut(band, 0.3))[0]
+        got = _spin_block(cut_rs.words, 100, band, _cut(band, 0.3))[0]
         assert np.array_equal(got, expected) and 0 < got.sum() < 100
         assert cut_rs.random() == ref_rs.random()
 
     def test_rigid_band_draws_nothing(self):
         band = ElasticSpec(0.0, 0.2)
         rs, fresh = RandomStream(4), RandomStream(4)
-        assert not _spin_block(rs, 10, band, _cut(band, 0.1))[0].any()
-        assert _spin_block(rs, 10, band, _cut(band, 0.3))[0].all()
+        assert not _spin_block(rs.words, 10, band, _cut(band, 0.1))[0].any()
+        assert _spin_block(rs.words, 10, band, _cut(band, 0.3))[0].all()
         assert rs.random() == fresh.random()
 
 
@@ -818,15 +876,15 @@ class TestEdgeCuts:
 
     def test_extreme_words(self):
         rs = RandomStream(40)
-        assert _resolve_cut(self.EXTREMES, (1.0, 1.0), rs).all()
-        assert not _resolve_cut(self.EXTREMES, (0.0, 0.0), rs).any()
+        assert _resolve_cut(self.EXTREMES, (1.0, 1.0), rs.words).all()
+        assert not _resolve_cut(self.EXTREMES, (0.0, 0.0), rs.words).any()
         step = 2.0**-53
-        got = _resolve_cut(self.EXTREMES, (step, step), rs)
+        got = _resolve_cut(self.EXTREMES, (step, step), rs.words)
         assert got.tolist() == [True, True, True, False, False, False]
-        got = _resolve_cut(self.EXTREMES, (1.0 - step, 1.0 - step), rs)
+        got = _resolve_cut(self.EXTREMES, (1.0 - step, 1.0 - step), rs.words)
         assert got.tolist() == [True] * 5 + [False]
         flip = np.array([True, False] * 3)
-        got = _resolve_cut(self.EXTREMES, (1.0, 1.0), rs, flip=flip, flip_cut=(0.0, 0.0))
+        got = _resolve_cut(self.EXTREMES, (1.0, 1.0), rs.words, flip=flip, flip_cut=(0.0, 0.0))
         assert np.array_equal(got, ~flip)
         # no cut had room for ties, so no coin was drawn
         assert rs.random() == RandomStream(40).random()
@@ -846,10 +904,10 @@ class TestEdgeCuts:
         flip = np.random.default_rng(41).random(m) < 0.5 if flipped else None
         if flip is None:
             expected_up = _resolve(lam, t, ref_rs)
-            got = _spin_block(cut_rs, m, band, _cut(band, t))[0]
+            got = _spin_block(cut_rs.words, m, band, _cut(band, t))[0]
         else:
             expected_up = _resolve(lam, np.where(flip, -t, t), ref_rs)
-            got = _spin_block(cut_rs, m, band, _cut(band, t), flip, _cut(band, -t))[0]
+            got = _spin_block(cut_rs.words, m, band, _cut(band, t), flip, _cut(band, -t))[0]
         assert np.array_equal(got, expected_up)
         assert cut_rs.random() == ref_rs.random()
         if expected is None:
