@@ -57,10 +57,13 @@ def _result(name: str, passed: bool, detail: str) -> CriterionResult:
 
 
 def _random_direction_pairs(count: int, seed: int = 7):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        vecs = rng.standard_normal((2, 3))
-        yield Direction(*vecs[0]), Direction(*vecs[1])
+    """``count`` pairs of directions uniform on the sphere, from the words of
+    ``RandomStream(seed)``: each has z and azimuth / pi uniform on [-1, 1)."""
+    for z1, turn1, z2, turn2 in RandomStream(seed).uniform(-1.0, 1.0, (count, 4)).tolist():
+        yield (
+            Direction.from_spherical(math.acos(z1), math.pi * turn1),
+            Direction.from_spherical(math.acos(z2), math.pi * turn2),
+        )
 
 
 def criterion_1_spin_frequencies() -> CriterionResult:

@@ -25,7 +25,7 @@ from .harness import (
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 

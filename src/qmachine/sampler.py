@@ -2,17 +2,19 @@
 
 Randomness contract
 -------------------
-All sampling goes through :class:`RandomStream`, a thin wrapper around
-numpy's counter-based Philox generator keyed by ``(seed, spawn_key)`` via
+All sampling goes through :class:`RandomStream`, a ``(seed, spawn_key)``
+handle on numpy's counter-based Philox bit generator, keyed via
 ``SeedSequence``.  ``substream(i)`` appends ``i`` to the spawn key, which
 yields statistically independent child streams that are reproducible across
 platforms, numpy releases with the same bit generator, and worker counts.
-A stream builds its generator at its first draw, so a root that only hands
+A stream builds its Philox at its first draw, so a root that only hands
 out substreams never builds one; ``substream`` never touches the parent's
-generator, so the threads of :func:`_map_blocks` call it on a shared root.
+Philox, so the threads of :func:`_map_blocks` call it on a shared root.
+Every draw is a 64-bit Philox word: a stream hands out words, and the
+package itself turns them into doubles, snap points and coins.
 
 Bulk runs partition trials into fixed-size blocks; block ``j`` draws from
-``substream(j)`` only.  Three block kernels turn a block's draws into
+``substream(j)`` only.  Three block kernels turn a block's words into
 outcomes: :func:`_spin_block` (one wing) reads a word source, a callable
 ``words(k)`` that returns the next ``k`` words, such as a stream's
 ``words``; :func:`_pair_block` (rod-coupled pairs) and
@@ -22,32 +24,32 @@ kernels here and in :mod:`qmachine.epr` reduce them.  One dispatcher,
 runs any list of independent tasks on threads, the calling thread one of
 them.  Results are therefore bit-identical no matter how many workers
 execute the blocks, and aggregation is a plain sum of counts, which
-commutes.  Philox is counter-based, so a stream's draws are a pure function
-of ``(seed, spawn_key)``: a :func:`run_trials` call of one block reads that
-block's words straight from ``_philox(seed, spawn_key + (0,))``, the words
-of ``substream(0)`` bit for bit, with no dispatch, substream handle or
-``Generator``; and ``generator_at(offset)`` starts a second generator at
-any draw of a stream without drawing the ones before it.
+commutes.  Philox is counter-based, so a stream's words are a pure function
+of ``(seed, spawn_key)`` and the word's offset: a :func:`run_trials` call
+of one block reads that block's words straight from
+``_philox(seed, spawn_key + (0,))``, the words of ``substream(0)`` bit for
+bit, with no dispatch or substream handle; and ``words_at(offset)`` starts
+a second word source at any word of a stream without drawing the ones
+before it.
 
-Within a block the draw order is fixed: one draw per snap point, then one
-coin per exact tie, in trial order, and only when ties occur.  Each draw is
-one 64-bit Philox word ``x``; numpy's ``random`` turns it into the double
-``u = k * 2**-53`` with ``k = x >> 11``, and ``words`` hands out the word
-itself, from the same counter.  A snap point is ``lo + w * u``, with
-``lo = d - eps`` and ``w = (d + eps) - lo`` rounded as numpy's ``uniform``
-rounds them.  Each rounding step is monotone, so the snap point never
-decreases in ``k``; where the particle's axis coordinate ``t`` is one number
-for the whole call, :func:`_cut` finds once the two draws at which the snap
-point reaches ``t`` and passes it.  A cut ``c = K * 2**-53`` is ``u < c``
-exactly when ``x < K << 11``, so a block reads its outcomes from its words
-directly (:func:`_resolve_cut`) and never builds a double; a tie coin is
-``x < 2**63``, which is ``u < 0.5``.  The outcomes are those of the snap
-points, bit for bit, as long as numpy forms ``lo + w * u`` in two separately
-rounded steps rather than one fused multiply-add.
+Within a block the draw order is fixed: one word per snap point, then one
+coin per exact tie, in trial order, and only when ties occur.  A word ``x``
+is the double ``u = k * 2**-53`` with ``k = x >> 11``.  A snap point is
+``lo + w * u``, with ``lo = d - eps`` and ``w = (d + eps) - lo``, formed in
+two separately rounded steps, in Python floats or in two numpy ufuncs
+(:func:`_doubles`), neither of which contracts them into one fused
+multiply-add.  Each rounding step is monotone, so the snap point never
+decreases in ``k``; where the particle's axis coordinate ``t`` is one
+number for the whole call, :func:`_cut` finds once the two draws at which
+the snap point reaches ``t`` and passes it.  A cut ``c = K * 2**-53`` is
+``u < c`` exactly when ``x < K << 11``, so a block reads its outcomes from
+its words directly (:func:`_resolve_cut`) and never builds a double; a tie
+coin is ``x < 2**63``, which is ``u < 0.5``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -73,13 +75,14 @@ class RandomStream:
 
     Identified by a non-negative integer seed plus a tuple of non-negative
     spawn-key entries, both checked here; the same (seed, key) always
-    reproduces the same draw sequence.  The Philox generator is built at the
-    first draw, so a stream that only hands out substreams costs a handle.
-    Concurrent tasks must not draw from one stream, but they may draw from
-    distinct substreams and call ``substream`` on a shared parent.
+    reproduces the same word sequence.  The Philox bit generator is built at
+    the first draw, so a stream that only hands out substreams costs a
+    handle.  Every draw is read from its 64-bit words.  Concurrent tasks
+    must not draw from one stream, but they may draw from distinct
+    substreams and call ``substream`` on a shared parent.
     """
 
-    __slots__ = ("seed", "spawn_key", "_gen")
+    __slots__ = ("seed", "spawn_key", "_bits")
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
         seed = _whole(seed, "seed")
@@ -90,45 +93,40 @@ class RandomStream:
             raise ValueError(f"spawn key entries must be non-negative, got {spawn_key}")
         self.seed = seed
         self.spawn_key = spawn_key
-        self._gen = None
+        self._bits = None
 
-    def _generator(self) -> np.random.Generator:
-        if self._gen is None:
-            self._gen = np.random.Generator(_philox(self.seed, self.spawn_key))
-        return self._gen
+    def words(self, size=None):
+        """The next ``size`` raw 64-bit Philox words (uint64), or the next
+        one as an int."""
+        if self._bits is None:
+            self._bits = _philox(self.seed, self.spawn_key)
+        return self._bits.random_raw(size)
 
-    def generator_at(self, offset: int) -> np.random.Generator:
-        """A new generator of this stream's draws from draw ``offset`` on,
-        counting one per double or word from the stream's first draw; the
-        stream's own generator does not move."""
+    def words_at(self, offset: int):
+        """A word source of this stream's words from word ``offset`` on,
+        counting from the stream's first word; the stream does not move."""
         offset = _whole(offset, "offset")
         if offset < 0:
             raise ValueError(f"offset must be non-negative, got {offset}")
         bits = _philox(self.seed, self.spawn_key)
-        bits.advance(offset // 4)  # one Philox counter step makes four draws
+        bits.advance(offset // 4)  # one Philox counter step makes four words
         bits.random_raw(offset % 4)
-        return np.random.Generator(bits)
+        return bits.random_raw
 
     def substream(self, index: int) -> "RandomStream":
         """Independent child stream number ``index``."""
         return RandomStream(self.seed, self.spawn_key + (_whole(index, "index"),))
 
-    def random(self, size=None):
-        """Uniform doubles on [0, 1)."""
-        return self._generator().random(size)
-
-    def words(self, size: int) -> np.ndarray:
-        """The next ``size`` raw 64-bit Philox words (uint64): the draws
-        ``random`` would turn into doubles ``(x >> 11) * 2**-53``."""
-        return self._generator().bit_generator.random_raw(size)
-
     def uniform(self, low: float, high: float, size=None):
-        """Uniform doubles on [low, high)."""
-        return self._generator().uniform(low, high, size)
+        """Uniform doubles on [low, high), one per word: a float, or an
+        array of ``size``."""
+        if size is None:
+            return low + (high - low) * ((self.words() >> 11) * _STEP)
+        return _doubles(self.words(size), low, high)
 
     def coin(self) -> bool:
-        """Single fair coin flip."""
-        return bool(self._generator().random() < 0.5)
+        """Single fair coin flip, one word."""
+        return self.words() < 2**63
 
 
 @dataclass(frozen=True)
@@ -366,10 +364,13 @@ def _map_blocks(block_fn, n: int, seed, workers: int = 1) -> list:
     )
 
 
-def _scaled(u: np.ndarray, low: float, high: float) -> np.ndarray:
-    """``low + (high - low) * u`` in place: for the doubles ``u`` of
-    ``random`` these are the bits ``uniform(low, high)`` draws, without its
-    slower per-element loop."""
+def _doubles(x: np.ndarray, low: float, high: float, out=None) -> np.ndarray:
+    """``low + (high - low) * u`` for the doubles ``u = (x >> 11) * 2**-53``
+    of the words ``x``, which are shifted in place: ``u`` is formed into
+    ``out`` or a new float buffer, exact through an int64 view, then scaled
+    in place in two separately rounded steps."""
+    x >>= np.uint64(11)
+    u = np.multiply(x.view(np.int64), _STEP, out=out)
     u *= high - low
     u += low
     return u
@@ -386,16 +387,7 @@ def _settle(up: np.ndarray, tie: np.ndarray, coins) -> np.ndarray:
     return up
 
 
-def _resolve(lam: np.ndarray, t, rs: RandomStream) -> np.ndarray:
-    """Vectorized outcome rule with fair-coin ties; True means O1.
-
-    ``lam`` and ``t`` are scalars or arrays, at least one an array; the tie
-    coins come from ``rs``, a stream or a generator, through :func:`_settle`.
-    """
-    return _settle(lam < t, lam == t, lambda k: rs.random(k) < 0.5)
-
-
-# ``random`` returns k * 2**-53 for an integer k in [0, 2**53)
+# a word x is the double k * 2**-53, k = x >> 11, an integer in [0, 2**53)
 _DRAWS = 1 << 53
 _STEP = 2.0**-53
 
@@ -438,7 +430,7 @@ def _cut(elastic: ElasticSpec, t: float) -> tuple[float, float]:
     """Where the snap points of ``elastic`` cross the axis coordinate ``t``,
     in the stream's draws: ``(below, upto)``.
 
-    A draw ``u`` of ``random`` places the snap point ``lo + w * u`` strictly
+    A double ``u`` of a word places the snap point ``lo + w * u`` strictly
     below ``t`` exactly when ``u < below``, and on ``t`` exactly when
     ``below <= u < upto``.  Both are ``k * 2**-53`` for the first ``k``
     whose snap point is ``>= t`` and ``> t``, found in O(log) steps from the
@@ -481,20 +473,21 @@ def _below(x: np.ndarray, c: float) -> np.ndarray:
 
 
 def _coins(words, k: int) -> np.ndarray:
-    """``k`` fair tie coins from the word source ``words``, True for O1: for
-    ``words = rs.words``, ``rs.random(k) < 0.5`` bit for bit."""
+    """``k`` fair tie coins from the word source ``words``, True for O1: the
+    doubles below 0.5, as :meth:`RandomStream.coin` draws one."""
     return words(k) < _HALF
 
 
 def _resolve_cut(x: np.ndarray, cut, words, flip=None, flip_cut=None) -> np.ndarray:
-    """:func:`_resolve` on the snap points of the words ``x``, read from the
+    """The outcome rule on the snap points of the words ``x``, read from the
     words through ``cut = _cut(elastic, t)``; True means O1.
 
     Where the bool mask ``flip`` is set, ``flip_cut``, the cut of ``-t``,
-    applies instead.  Tie coins are drawn as in :func:`_resolve`, from the
-    word source ``words`` (``words(k)`` returns the next ``k`` words); the tie
-    mask is built only when a cut has room for ties, and a block whose every
-    trial ties takes its coins as its outcomes.
+    applies instead.  One tie coin per exact tie, in trial order, comes from
+    the word source ``words`` (``words(k)`` returns the next ``k`` words)
+    through :func:`_settle`; the tie mask is built only when a cut has room
+    for ties, and a block whose every trial ties takes its coins as its
+    outcomes.
     """
     below, upto = cut
     up = _below(x, below)
@@ -532,25 +525,25 @@ def _pair_block(rs: RandomStream, m: int, elastic: ElasticSpec, cuts):
 
 def _severed_block(rs: RandomStream, m: int, elastic: ElasticSpec):
     """One block of ``m`` severed-rod pairs, each wing at its own uniform
-    surface state: ``(a_up, b_up)``.  The block reads its stream in a fixed
-    order: the left states, the right states, then (eps > 0) the left and
-    right snap points, then one coin per exact tie, left wing first.  It
+    surface state: ``(a_up, b_up)``.  The block reads its stream's words in a
+    fixed order: the left states, the right states, then (eps > 0) the left
+    and right snap points, then one coin per exact tie, left wing first.  It
     holds two buffers of ``m`` doubles: the snap points come from a second
-    generator started at draw ``2m``, and the right wing is drawn into the
+    word source started at word ``2m``, and the right wing is drawn into the
     left wing's buffers once the left comparison is done."""
     lo, hi = elastic.break_lower, elastic.break_upper
-    states = rs._generator()
-    t = _scaled(states.random(m), -1.0, 1.0)
+    t = _doubles(rs.words(m), -1.0, 1.0)
     if elastic.epsilon == 0.0:
-        lam, coins = elastic.d, states  # nothing to draw for the snap points
+        lam, words = elastic.d, rs.words  # nothing to draw for the snap points
     else:
-        coins = rs.generator_at(2 * m)
-        lam = _scaled(coins.random(m), lo, hi)
+        words = rs.words_at(2 * m)
+        lam = _doubles(words(m), lo, hi)
     a_up, a_tie = lam < t, lam == t
-    _scaled(states.random(out=t), -1.0, 1.0)
+    _doubles(rs.words(m), -1.0, 1.0, out=t)
     if elastic.epsilon != 0.0:
-        _scaled(coins.random(out=lam), lo, hi)
-    return _settle(a_up, a_tie, lambda k: coins.random(k) < 0.5), _resolve(lam, t, coins)
+        _doubles(words(m), lo, hi, out=lam)
+    coins = functools.partial(_coins, words)
+    return _settle(a_up, a_tie, coins), _settle(lam < t, lam == t, coins)
 
 
 def run_trials(
@@ -610,10 +603,7 @@ def run_recorded(
         if elastic.epsilon == 0.0:
             lam.fill(elastic.d)
         else:
-            # the doubles of ``random``: (x >> 11) * 2**-53, exact in int64
-            x >>= np.uint64(11)
-            np.multiply(x.view(np.int64), _STEP, out=lam)
-            _scaled(lam, elastic.break_lower, elastic.break_upper)
+            _doubles(x, elastic.break_lower, elastic.break_upper, out=lam)
 
     _map_blocks(record_block, n, seed)
     return TrialRecords._adopt(break_points, o1, u)

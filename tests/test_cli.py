@@ -409,6 +409,20 @@ class TestValidationFailures:
         assert err["error"] == "validation"
         assert err["message"] == "chsh_mode must be one of 'analytic', 'both', got 'mc'"
 
+    # an empty entry is no float, as a config file's list cannot hold one
+    @pytest.mark.parametrize("text", ["1,,2", "1,2,", ","])
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [("sweep", "--theta-grid"), ("chsh", "--angles"), ("climit", "--eps-values")],
+    )
+    def test_empty_list_entry_exits_2(self, kind, flag, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(kind, flag, text)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"not a comma-separated float list: {text!r}" in captured.err
+
     @pytest.mark.parametrize(
         "argv", [("spin", "--theta-deg", "nan"), ("spin", "--epsilon", "2")],
         ids=["theta-nan", "epsilon-2"],

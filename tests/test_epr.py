@@ -32,8 +32,6 @@ from qmachine.sampler import (
     _cut,
     _map_blocks,
     _pair_block,
-    _resolve,
-    _scaled,
     measure,
     outcome_at_axis,
     run_trials,
@@ -564,10 +562,10 @@ class TestSeveredRod:
 
 
 class GridStream(RandomStream):
-    """Stands in for a block's stream: draw number ``p`` is a pure function
-    of ``p`` and the spawn key on the grid k/8, so states, snap points and
-    coins tie often.  ``generator_at`` and ``_generator`` follow the same
-    draw sequence as the stream."""
+    """Stands in for a block's stream: word number ``p`` is a pure function
+    of ``p`` and the spawn key, with only its top three bits set, so its
+    double lies on the grid k/8 and states, snap points and coins tie often.
+    ``words_at`` follows the same word sequence as the stream."""
 
     def __init__(self, seed, spawn_key=(), position=0):
         super().__init__(seed, spawn_key)
@@ -576,14 +574,11 @@ class GridStream(RandomStream):
     def substream(self, index):
         return GridStream(self.seed, self.spawn_key + (index,))
 
-    def _generator(self):
-        return self
+    def words_at(self, offset):
+        return GridStream(self.seed, self.spawn_key, offset).words
 
-    def generator_at(self, offset):
-        return GridStream(self.seed, self.spawn_key, offset)
-
-    def random(self, size=None, out=None):
-        m = len(out) if out is not None else (size or 1)
+    def words(self, size=None):
+        m = 1 if size is None else size
         # splitmix64 of (position, key), top three bits
         x = np.arange(self.position, self.position + m, dtype=np.uint64)
         self.position += m
@@ -593,32 +588,58 @@ class GridStream(RandomStream):
         x ^= x >> np.uint64(27)
         x *= np.uint64(0x94D049BB133111EB)
         x ^= x >> np.uint64(31)
-        u = (x >> np.uint64(61)) / 8.0
-        if out is not None:
-            out[:] = u
-            return out
-        return u if size is not None else float(u[0])
+        x = (x >> np.uint64(61)) << np.uint64(61)
+        return x if size is not None else int(x[0])
 
 
-def snap_points(rs, elastic, m):
-    """``m`` snap points from ``m`` of ``rs``'s doubles; at eps 0, d itself."""
+def eager_generator(rs):
+    """numpy's ``Generator`` on the Philox of the stream ``rs``, built at
+    once: its C ``uniform`` and ``random`` are the independent reference for
+    the snap points and coins the package forms from the stream's words."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(rs.seed, spawn_key=rs.spawn_key))
+    )
+
+
+def word_uniform(rs):
+    """``uniform(lo, hi, m)`` on the next ``m`` words of ``rs``: the doubles
+    ``(x >> 11) * 2**-53`` scaled in two numpy steps."""
+    return lambda lo, hi, m: lo + (hi - lo) * ((rs.words(m) >> np.uint64(11)) * 2.0**-53)
+
+
+def snap_points(uniform, elastic, m):
+    """``m`` snap points ``uniform(lo, hi, m)``; at eps 0, d itself, with no
+    draw."""
     lo, hi = elastic.break_lower, elastic.break_upper
-    return np.full(m, elastic.d) if elastic.epsilon == 0.0 else _scaled(rs.random(m), lo, hi)
+    return np.full(m, elastic.d) if elastic.epsilon == 0.0 else uniform(lo, hi, m)
+
+
+def resolve(lam, t, coins):
+    """The outcome rule on the snap points ``lam``, True for O1, with the fair
+    coins ``coins(k)`` for its ``k`` exact ties in index order."""
+    up, tie = lam < t, lam == t
+    up[tie] = coins(np.count_nonzero(tie))
+    return up
 
 
 def four_array_severed(elastic, n, seed, ties):
     """severed_correlation_mc in its four-array form: both wings' states,
-    then both wings' snap points, drawn in full before either is resolved.
-    Adds each block's exact ties to ``ties``."""
+    then both wings' snap points, drawn in full from one word sequence
+    before either is resolved.  Adds each block's exact ties to ``ties``."""
 
     def run_block(rs, m, _start):
-        t_left = _scaled(rs.random(m), -1.0, 1.0)
-        t_right = _scaled(rs.random(m), -1.0, 1.0)
-        lam_l = snap_points(rs, elastic, m)
-        lam_r = snap_points(rs, elastic, m)
+        uniform = word_uniform(rs)
+        t_left = uniform(-1.0, 1.0, m)
+        t_right = uniform(-1.0, 1.0, m)
+        lam_l = snap_points(uniform, elastic, m)
+        lam_r = snap_points(uniform, elastic, m)
         ties.append(int(np.count_nonzero(lam_l == t_left) + np.count_nonzero(lam_r == t_right)))
-        a_up = _resolve(lam_l, t_left, rs)
-        b_up = _resolve(lam_r, t_right, rs)
+
+        def coins(k):
+            return rs.words(k) < np.uint64(1 << 63)
+
+        a_up = resolve(lam_l, t_left, coins)
+        b_up = resolve(lam_r, t_right, coins)
         return int(np.count_nonzero(a_up == b_up))
 
     same = sum(_map_blocks(run_block, n, seed))
@@ -669,9 +690,14 @@ def where_joint_counts(a, b, elastic, n, seed, workers=1):
     t_ab = axis_coordinate(a, b)
 
     def run_block(rs, m, _start):
-        a_up = _resolve(snap_points(rs, left_el, m), 0.0, rs)
+        gen = eager_generator(rs)
+
+        def coins(k):
+            return gen.random(k) < 0.5
+
+        a_up = resolve(snap_points(gen.uniform, left_el, m), 0.0, coins)
         t2 = np.where(a_up, -t_ab, t_ab)
-        b_up = _resolve(snap_points(rs, elastic, m), t2, rs)
+        b_up = resolve(snap_points(gen.uniform, elastic, m), t2, coins)
         return tuple(
             int(np.count_nonzero(x & y))
             for x, y in ((a_up, b_up), (a_up, ~b_up), (~a_up, b_up), (~a_up, ~b_up))

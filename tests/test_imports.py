@@ -9,8 +9,11 @@ Every name ``__init__.py`` exports has a caller: a module of the package,
 a demo or a benchmark script reads it, or the README names it.
 
 ``epr`` turns no block's stream into outcomes itself: it imports none of
-the sampler internals that do, and calls no stream's generator, so the draw
-order of every block kernel lives in ``sampler`` alone.
+the sampler internals that do, and starts no second word source of a
+stream, so the draw order of every block kernel lives in ``sampler`` alone.
+
+No module names numpy's ``Generator`` or ``default_rng``: every draw is a
+Philox word, and the package alone turns words into doubles and coins.
 """
 
 import ast
@@ -109,16 +112,17 @@ def test_check_sees_uncalled_exports():
 
 
 # the sampler internals that build or read a block's draws, and the stream
-# methods that reach its generator: only ``sampler``'s block kernels use them
+# method that starts a second word source: only ``sampler``'s block kernels
+# use them
 DRAW_INTERNALS = {
-    "_resolve", "_resolve_cut", "_settle", "_scaled", "_coins", "_below", "_NO_DRAWS", "_philox"
+    "_resolve_cut", "_settle", "_doubles", "_coins", "_below", "_NO_DRAWS", "_philox"
 }
-GENERATOR_CALLS = {"_generator", "generator_at"}
+GENERATOR_CALLS = {"words_at"}
 
 
 def draw_internals_used(source: str) -> list[str]:
     """The draw internals ``source`` imports or reads as attributes, and
-    the generator methods it calls."""
+    the second word sources it starts."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -143,13 +147,41 @@ def test_check_sees_draw_internals():
         "from .sampler import _cut, _resolve_cut as rc\n"
         "import qmachine.sampler\n"
         "up = qmachine.sampler._below(x, 0.5)\n"
-        "gen = rs._generator()\n"
-        "tail = rs.generator_at(3).random(2)\n"
-        "rs.random(2)\n"
+        "tail = rs.words_at(3)(2)\n"
+        "rs.words(2)\n"
     )
     assert draw_internals_used(source) == [
-        "call _generator (line 4)",
-        "call generator_at (line 5)",
+        "call words_at (line 4)",
         "import _resolve_cut (line 1)",
         "read _below (line 3)",
     ]
+
+
+NUMPY_GENERATOR = re.compile(r"\b(?:Generator|default_rng)\b")
+
+
+def generator_names(source: str) -> list[str]:
+    """Where ``source`` names numpy's ``Generator`` or ``default_rng``."""
+    return [
+        f"{match.group()} (line {number})"
+        for number, line in enumerate(source.splitlines(), 1)
+        for match in NUMPY_GENERATOR.finditer(line)
+    ]
+
+
+def test_package_names_no_numpy_generator():
+    named = {
+        os.path.basename(path): generator_names(read(path))
+        for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+    }
+    assert {module: found for module, found in named.items() if found} == {}
+
+
+def test_check_sees_generator_names():
+    source = (
+        "gen = np.random.Generator(np.random.Philox(7))\n"
+        "from numpy.random import default_rng\n"
+        "bits: np.random.BitGenerator = np.random.Philox(7)\n"
+        "MyGenerator = default_rngs = None\n"
+    )
+    assert generator_names(source) == ["Generator (line 1)", "default_rng (line 2)"]

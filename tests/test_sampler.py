@@ -26,7 +26,6 @@ from qmachine.sampler import (
     _cut,
     _map_blocks,
     _map_indexed,
-    _resolve,
     _resolve_cut,
     _spin_block,
     hidden_outcome,
@@ -45,8 +44,23 @@ def direction_at(t):
 
 
 def eager_generator(seed, key=()):
-    """The generator a stream keyed (seed, key) must draw from, built at once."""
+    """numpy's ``Generator`` on the Philox of the stream keyed (seed, key),
+    built at once: its words are the stream's, and its C ``random`` and
+    ``uniform`` are the doubles and snap points the package must form."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def resolve(lam, t, gen):
+    """The outcome rule on the snap points ``lam``, True for O1, with one
+    fair coin ``gen.random() < 0.5`` per exact tie in index order."""
+    up, tie = lam < t, lam == t
+    up[tie] = gen.random(np.count_nonzero(tie)) < 0.5
+    return up
+
+
+def at_same_word(rs, gen):
+    """Whether the stream and its reference stand at the same word."""
+    return rs.words() == gen.bit_generator.random_raw()
 
 
 def stream_at(seed, key):
@@ -57,35 +71,48 @@ def stream_at(seed, key):
     return rs
 
 
-def draw_both(rs, gen, kind, size):
-    """The same draw from a stream and from its eager reference."""
-    if kind == "random":
-        return rs.random(size), gen.random(size)
+SPECIAL_EPSILONS = (1.0, 0.5, 1e-9, 1e-300)
+
+
+@st.composite
+def bands(draw):
+    """A valid band: one of the special widths or any, at any offset d."""
+    eps = draw(st.one_of(st.sampled_from(SPECIAL_EPSILONS), st.floats(0.0, 1.0)))
+    d = draw(st.one_of(st.just(0.0), st.floats(-1.0 + eps, 1.0 - eps)))
+    return ElasticSpec(eps, d)
+
+
+def draw_both(rs, gen, kind, size, band=ElasticSpec(0.5, 0.2)):
+    """The same draw from a stream and from its eager reference; a uniform
+    one on ``band``."""
+    if kind == "words":
+        return rs.words(size), gen.bit_generator.random_raw(size)
     if kind == "uniform":
-        return rs.uniform(-0.3, 0.7, size), gen.uniform(-0.3, 0.7, size)
+        lo, hi = band.break_lower, band.break_upper
+        return rs.uniform(lo, hi, size), gen.uniform(lo, hi, size)
     return rs.coin(), bool(gen.random() < 0.5)
 
 
 class TestRandomStream:
     def test_reproducible(self):
-        a = RandomStream(123).random(100)
-        b = RandomStream(123).random(100)
+        a = RandomStream(123).words(100)
+        b = RandomStream(123).words(100)
         assert np.array_equal(a, b)
 
     def test_substreams_reproducible_and_distinct(self):
-        a = RandomStream(123).substream(4).random(100)
-        b = RandomStream(123).substream(4).random(100)
-        c = RandomStream(123).substream(5).random(100)
+        a = RandomStream(123).substream(4).words(100)
+        b = RandomStream(123).substream(4).words(100)
+        c = RandomStream(123).substream(5).words(100)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_nested_substreams(self):
-        a = RandomStream(9).substream(1).substream(2).random(10)
-        b = RandomStream(9, spawn_key=(1, 2)).random(10)
+        a = RandomStream(9).substream(1).substream(2).words(10)
+        b = RandomStream(9, spawn_key=(1, 2)).words(10)
         assert np.array_equal(a, b)
 
     def test_large_seed(self):
-        RandomStream(2**64 - 1).random()
+        RandomStream(2**64 - 1).words()
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
@@ -121,12 +148,13 @@ class TestRandomStream:
         rs = RandomStream(np.int64(9), spawn_key=(np.uint8(1),)).substream(np.int64(2))
         assert (rs.seed, rs.spawn_key) == (9, (1, 2))
         assert type(rs.seed) is int and all(type(k) is int for k in rs.spawn_key)
-        assert np.array_equal(rs.random(10), RandomStream(9, (1, 2)).random(10))
+        assert np.array_equal(rs.words(10), RandomStream(9, (1, 2)).words(10))
 
     @pytest.mark.parametrize("key", [(), (0,), (3,), (1, 2), (7, 0, 65), (2**40,)])
     def test_draws_match_eager_reference(self, key):
         rs, gen = stream_at(2024, key), eager_generator(2024, key)
-        for kind, size in (("random", 5), ("uniform", 9), ("coin", None), ("random", None)):
+        for kind, size in (("words", 5), ("uniform", 9), ("coin", None), ("uniform", None),
+                           ("words", None)):
             mine, reference = draw_both(rs, gen, kind, size)
             assert np.array_equal(mine, reference)
 
@@ -135,70 +163,84 @@ class TestRandomStream:
         children = [root.substream(j) for j in range(3)]
         grandchild = children[1].substream(4)
         reference = eager_generator(77)
-        assert np.array_equal(root.random(8), reference.random(8))
+        assert np.array_equal(root.words(8), reference.bit_generator.random_raw(8))
         # a child handed out after the root drew is still keyed by its path
         late = root.substream(5)
         assert np.array_equal(root.uniform(0.0, 2.0, 3), reference.uniform(0.0, 2.0, 3))
-        assert np.array_equal(grandchild.random(8), eager_generator(77, (1, 4)).random(8))
-        assert np.array_equal(late.random(8), eager_generator(77, (5,)).random(8))
-        assert np.array_equal(children[0].random(8), eager_generator(77, (0,)).random(8))
+        for stream, key in ((grandchild, (1, 4)), (late, (5,)), (children[0], (0,))):
+            assert np.array_equal(stream.uniform(0.0, 1.0, 8), eager_generator(77, key).random(8))
         assert root.coin() == bool(reference.random() < 0.5)
 
-    @settings(max_examples=60, deadline=None)
+    # Interleaved words, coins and band draws, each uniform in its scalar or
+    # its array form, against numpy's C path on the same Philox, bit for bit
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         seed=st.integers(min_value=0, max_value=2**64 - 1),
         key=st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=3),
         handed_out=st.integers(min_value=0, max_value=3),
         draws=st.lists(
-            st.tuples(st.sampled_from(("random", "uniform", "coin")), st.integers(0, 40)),
-            min_size=1, max_size=5,
+            st.tuples(
+                st.sampled_from(("words", "uniform", "coin")),
+                st.one_of(st.none(), st.integers(0, 40)),
+                bands(),
+            ),
+            min_size=1, max_size=6,
         ),
     )
+    @example(seed=5, key=[2, 7], handed_out=1, draws=[
+        ("uniform", None, ElasticSpec(1e-300, 0.3)), ("coin", None, ElasticSpec(1.0, 0.0)),
+        ("uniform", 3, ElasticSpec(1e-300, -1.0)), ("uniform", None, ElasticSpec(0.0, 0.5)),
+        ("uniform", 5, ElasticSpec(0.0, -0.2)), ("words", 3, ElasticSpec(1.0, 0.0)),
+        ("uniform", None, ElasticSpec(1.0, 0.0)),
+    ])
     def test_draw_sequence_matches_eager_reference(self, seed, key, handed_out, draws):
         rs, gen = stream_at(seed, key), eager_generator(seed, tuple(key))
         for index in range(handed_out):
             rs.substream(index)
-        for kind, size in draws:
-            mine, reference = draw_both(rs, gen, kind, size)
-            assert np.array_equal(mine, reference)
+        for kind, size, band in draws:
+            mine, reference = draw_both(rs, gen, kind, size, band)
+            assert type(mine) is type(reference)
+            assert np.asarray(mine).tobytes() == np.asarray(reference).tobytes()
 
-    @pytest.mark.parametrize("offset", [0, 1, 2, 3, 5, 2 * 1000 + 3])
-    def test_generator_at_is_the_tail_of_one_long_draw(self, offset):
+    # 2m for m in 1, 2, 3 and 5 too: the severed block's second source
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 5, 6, 10, 2 * 1000 + 3])
+    def test_words_at_is_the_tail_of_one_long_draw(self, offset):
         rs = RandomStream(31, spawn_key=(4, 2))
-        tail = rs.generator_at(offset).random(1000)
-        assert np.array_equal(tail, eager_generator(31, (4, 2)).random(offset + 1000)[offset:])
-        # the stream's own draws still start at draw 0
-        assert np.array_equal(rs.random(5), eager_generator(31, (4, 2)).random(5))
+        whole = eager_generator(31, (4, 2)).bit_generator.random_raw(offset + 1000)
+        assert np.array_equal(rs.words_at(offset)(1000), whole[offset:])
+        # the stream's own words still start at word 0
+        assert np.array_equal(rs.words(5), whole[:5])
 
     def test_words_are_the_doubles_of_random(self):
         x = RandomStream(21, spawn_key=(3,)).words(20_000)
-        u = RandomStream(21, spawn_key=(3,)).random(20_000)
+        u = eager_generator(21, (3,)).random(20_000)
         assert x.dtype == np.uint64
         doubles = (x >> np.uint64(11)) * 2.0**-53
         assert np.array_equal(doubles.view(np.uint64), u.view(np.uint64))
 
     def test_word_coins_are_the_double_coins(self):
         coins = RandomStream(22).words(20_000) < np.uint64(1 << 63)
-        assert np.array_equal(coins, RandomStream(22).random(20_000) < 0.5)
+        assert np.array_equal(coins, eager_generator(22).random(20_000) < 0.5)
         assert np.array_equal(_coins(RandomStream(22).words, 20_000), coins)
         assert 9_000 < coins.sum() < 11_000
 
-    def test_words_random_and_generator_at_read_one_sequence(self):
+    def test_words_uniform_and_words_at_read_one_sequence(self):
         rs = RandomStream(23, spawn_key=(1, 5))
-        whole = eager_generator(23, (1, 5)).random(23)
+        whole = eager_generator(23, (1, 5)).random(24)
 
         def doubles(x):
             return (x >> np.uint64(11)) * 2.0**-53
 
         assert np.array_equal(doubles(rs.words(7)), whole[:7])
-        assert np.array_equal(rs.random(6), whole[7:13])
-        # a generator at draw 13 reads on; the stream stays at draw 13
-        assert np.array_equal(rs.generator_at(13).random(9), whole[13:22])
+        assert np.array_equal(rs.uniform(0.0, 1.0, 6), whole[7:13])
+        # a source at word 13 reads on; the stream stays at word 13
+        assert np.array_equal(doubles(rs.words_at(13)(9)), whole[13:22])
         assert np.array_equal(doubles(rs.words(5)), whole[13:18])
-        assert np.array_equal(doubles(rs.generator_at(18).bit_generator.random_raw(2)), whole[18:20])
-        assert np.array_equal(rs.random(3), whole[18:21])
+        assert np.array_equal(doubles(rs.words_at(18)(2)), whole[18:20])
+        assert np.array_equal(rs.uniform(0.0, 1.0, 3), whole[18:21])
         rs.words(1)
-        assert rs.random() == whole[22]
+        assert rs.uniform(0.0, 1.0) == whole[22]
+        assert rs.coin() == (whole[23] < 0.5)
 
     @pytest.mark.parametrize("offset, error, match", [
         (-1, ValueError, "^offset must be non-negative"),
@@ -206,17 +248,17 @@ class TestRandomStream:
         (2.5, TypeError, "^offset must be an integer"),
         ("3", TypeError, "^offset must be an integer"),
     ])
-    def test_generator_at_rejects_bad_offsets(self, offset, error, match):
+    def test_words_at_rejects_bad_offsets(self, offset, error, match):
         with pytest.raises(error, match=match):
-            RandomStream(31).generator_at(offset)
+            RandomStream(31).words_at(offset)
 
-    def test_generator_at_takes_numpy_integers(self):
-        tail = RandomStream(31).generator_at(np.int64(6)).random(4)
-        assert np.array_equal(tail, eager_generator(31).random(10)[6:])
+    def test_words_at_takes_numpy_integers(self):
+        tail = RandomStream(31).words_at(np.int64(6))(4)
+        assert np.array_equal(tail, eager_generator(31).bit_generator.random_raw(10)[6:])
 
     def test_uniformity(self):
         # 20-bin chi-square on 1e6 doubles; df = 19, 43.8 is the 99.9% point
-        draws = RandomStream(55).random(1_000_000)
+        draws = RandomStream(55).uniform(0.0, 1.0, 1_000_000)
         counts, _ = np.histogram(draws, bins=20, range=(0.0, 1.0))
         expected = len(draws) / 20
         stat = ((counts - expected) ** 2 / expected).sum()
@@ -224,8 +266,8 @@ class TestRandomStream:
 
 
 class TestGeneratorBuilds:
-    """A stream builds its Philox generator at its first draw, so a root that
-    only hands out block substreams builds none."""
+    """A stream builds its Philox bit generator at its first draw, so a root
+    that only hands out block substreams builds none."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -243,7 +285,8 @@ class TestGeneratorBuilds:
         root = RandomStream(3)
         root.substream(1).substream(2)
         assert builds[0] == 0
-        root.random(2)
+        root.words(2)
+        root.uniform(0.0, 1.0)
         root.coin()
         assert builds[0] == 1
 
@@ -260,7 +303,7 @@ class TestGeneratorBuilds:
 
     def test_severed_scan_builds_one_per_block(self, builds):
         # 2 x 2 correlation estimates of 2 blocks each; a block of a band
-        # with eps > 0 builds a second generator for its snap points
+        # with eps > 0 builds a second Philox for its snap points
         severed_chsh_scan(ElasticSpec(1.0, 0.0), angles_count=2, n=BLOCK_SIZE + 1)
         assert builds[0] == 16
 
@@ -473,27 +516,16 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-SPECIAL_EPSILONS = (1.0, 0.5, 1e-9, 1e-300)
-
-
-@st.composite
-def bands(draw):
-    """A valid band: one of the special widths or any, at any offset d."""
-    eps = draw(st.one_of(st.sampled_from(SPECIAL_EPSILONS), st.floats(0.0, 1.0)))
-    d = draw(st.one_of(st.just(0.0), st.floats(-1.0 + eps, 1.0 - eps)))
-    return ElasticSpec(eps, d)
-
-
 def block_order_records(v, u, elastic, n, seed):
     """One TrialRecord per trial, each block drawing all its snap points and
     then one coin per tie, in index order: the block's own draw order, from
-    :func:`snap_points` and ``_resolve``."""
-    root, t = RandomStream(seed), axis_coordinate(v, u)
+    :func:`snap_points` and :func:`resolve` on numpy's doubles."""
+    t = axis_coordinate(v, u)
     records = []
     for j, m in enumerate(_block_lengths(n, BLOCK_SIZE)):
-        rs = root.substream(j)
-        lam = snap_points(rs, elastic, m)
-        for k, up in enumerate(_resolve(lam, t, rs)):
+        gen = eager_generator(seed, (j,))
+        lam = snap_points(gen, elastic, m)
+        for k, up in enumerate(resolve(lam, t, gen)):
             outcome, post = (Outcome.O1, SphereState(u)) if up else (Outcome.O2, SphereState(-u))
             records.append(TrialRecord(j * BLOCK_SIZE + k, float(lam[k]), outcome, post))
     return records
@@ -746,10 +778,11 @@ def t_choices():
     )
 
 
-def snap_points(rs, elastic, m):
-    """``m`` snap points drawn as ``sample_break_point`` draws one; at eps 0, d."""
+def snap_points(gen, elastic, m):
+    """``m`` snap points drawn by numpy's ``uniform`` from the generator
+    ``gen``, as ``sample_break_point`` must draw one; at eps 0, d."""
     lo, hi = elastic.break_lower, elastic.break_upper
-    return np.full(m, elastic.d) if elastic.epsilon == 0.0 else rs.uniform(lo, hi, m)
+    return np.full(m, elastic.d) if elastic.epsilon == 0.0 else gen.uniform(lo, hi, m)
 
 
 def coordinate_for(band, where, seed, m):
@@ -760,7 +793,7 @@ def coordinate_for(band, where, seed, m):
     if kind == "index":
         return lo + (hi - lo) * (x * 2.0**-53)
     if kind in ("own", "-own"):
-        lam = snap_points(RandomStream(seed), band, m)
+        lam = snap_points(eager_generator(seed), band, m)
         own = float(lam[int(x * m)])
         return own if kind == "own" else -own
     # just outside the band on either side
@@ -778,11 +811,11 @@ class TestTieRule:
     def test_scalar_rule_matches_vectorized_rule(self, t, break_point, tie, seed):
         if tie:
             break_point = t
-        scalar_rs, vector_rs = RandomStream(seed), RandomStream(seed)
+        scalar_rs, gen = RandomStream(seed), eager_generator(seed)
         scalar_up = outcome_at_axis(t, break_point, scalar_rs) is Outcome.O1
-        assert scalar_up == _resolve(np.array([break_point]), t, vector_rs)[0]
+        assert scalar_up == resolve(np.array([break_point]), t, gen)[0]
         # both consumed the same draws: one coin at a tie, none otherwise
-        assert scalar_rs.random() == vector_rs.random()
+        assert at_same_word(scalar_rs, gen)
 
     # --- the cut resolver: outcomes read from the draws, no snap points ---
 
@@ -796,18 +829,18 @@ class TestTieRule:
     )
     def test_cut_matches_snap_points(self, band, where, flip_p, m, seed):
         t = coordinate_for(band, where, seed, m)
-        ref_rs, cut_rs = RandomStream(seed), RandomStream(seed)
-        lam = snap_points(ref_rs, band, m)
+        ref, cut_rs = eager_generator(seed), RandomStream(seed)
+        lam = snap_points(ref, band, m)
         if flip_p is None:
-            expected = _resolve(lam, t, ref_rs)
+            expected = resolve(lam, t, ref)
             got = _spin_block(cut_rs.words, m, band, _cut(band, t))[0]
         else:
             flip = np.random.default_rng(seed).random(m) < flip_p
-            expected = _resolve(lam, np.where(flip, -t, t), ref_rs)
+            expected = resolve(lam, np.where(flip, -t, t), ref)
             got = _spin_block(cut_rs.words, m, band, _cut(band, t), flip, _cut(band, -t))[0]
         assert np.array_equal(got, expected)
-        # the same number of tie coins: both streams stand at the same draw
-        assert cut_rs.random() == ref_rs.random()
+        # the same number of tie coins: both stand at the same word
+        assert at_same_word(cut_rs, ref)
 
     @settings(max_examples=300, deadline=None)
     @given(band=bands(), where=t_choices(), seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -853,18 +886,18 @@ class TestTieRule:
         assert band.break_upper - band.break_lower == 0.0
         assert _cut(band, 0.3) == (0.0, 1.0)
         assert _cut(band, 0.5) == (1.0, 1.0) and _cut(band, -0.5) == (0.0, 0.0)
-        ref_rs, cut_rs = RandomStream(3), RandomStream(3)
-        expected = _resolve(snap_points(ref_rs, band, 100), 0.3, ref_rs)
+        ref, cut_rs = eager_generator(3), RandomStream(3)
+        expected = resolve(snap_points(ref, band, 100), 0.3, ref)
         got = _spin_block(cut_rs.words, 100, band, _cut(band, 0.3))[0]
         assert np.array_equal(got, expected) and 0 < got.sum() < 100
-        assert cut_rs.random() == ref_rs.random()
+        assert at_same_word(cut_rs, ref)
 
     def test_rigid_band_draws_nothing(self):
         band = ElasticSpec(0.0, 0.2)
-        rs, fresh = RandomStream(4), RandomStream(4)
+        rs = RandomStream(4)
         assert not _spin_block(rs.words, 10, band, _cut(band, 0.1))[0].any()
         assert _spin_block(rs.words, 10, band, _cut(band, 0.3))[0].all()
-        assert rs.random() == fresh.random()
+        assert at_same_word(rs, eager_generator(4))
 
 
 class TestEdgeCuts:
@@ -887,7 +920,7 @@ class TestEdgeCuts:
         got = _resolve_cut(self.EXTREMES, (1.0, 1.0), rs.words, flip=flip, flip_cut=(0.0, 0.0))
         assert np.array_equal(got, ~flip)
         # no cut had room for ties, so no coin was drawn
-        assert rs.random() == RandomStream(40).random()
+        assert at_same_word(rs, eager_generator(40))
 
     @pytest.mark.parametrize("eps, d, t, expected", [
         (1.0, 0.0, 1.0, True),  # every snap point lies below t = 1
@@ -899,17 +932,17 @@ class TestEdgeCuts:
     @pytest.mark.parametrize("flipped", [False, True])
     def test_edge_cuts_match_snap_points(self, eps, d, t, expected, flipped):
         band, m = ElasticSpec(eps, d), 5_000
-        ref_rs, cut_rs = RandomStream(41), RandomStream(41)
-        lam = snap_points(ref_rs, band, m)
+        ref, cut_rs = eager_generator(41), RandomStream(41)
+        lam = snap_points(ref, band, m)
         flip = np.random.default_rng(41).random(m) < 0.5 if flipped else None
         if flip is None:
-            expected_up = _resolve(lam, t, ref_rs)
+            expected_up = resolve(lam, t, ref)
             got = _spin_block(cut_rs.words, m, band, _cut(band, t))[0]
         else:
-            expected_up = _resolve(lam, np.where(flip, -t, t), ref_rs)
+            expected_up = resolve(lam, np.where(flip, -t, t), ref)
             got = _spin_block(cut_rs.words, m, band, _cut(band, t), flip, _cut(band, -t))[0]
         assert np.array_equal(got, expected_up)
-        assert cut_rs.random() == ref_rs.random()
+        assert at_same_word(cut_rs, ref)
         if expected is None:
             assert 0 < got.sum() < m
         elif flip is None:
@@ -921,8 +954,9 @@ class TestEdgeCuts:
 
 class TestDrawArithmetic:
     """The cut is exact only if the snap points are lo + w * u with the
-    stream's doubles u = k * 2**-53, in two separately rounded steps; a
-    numpy build that fused the multiply-add would move outcome bytes."""
+    stream's doubles u = k * 2**-53, in two separately rounded steps.  The
+    package forms them itself, in Python floats or in two numpy ufuncs;
+    numpy's C ``random`` and ``uniform`` are the independent reference."""
 
     GUARD_BANDS = (
         (-1.0, 1.0), (-0.3, 0.7), (0.25, 0.75), (-0.7, 0.3),
@@ -932,22 +966,29 @@ class TestDrawArithmetic:
     @pytest.mark.parametrize("low, high", GUARD_BANDS)
     def test_uniform_is_two_rounded_steps(self, low, high):
         drawn = RandomStream(11).uniform(low, high, 20_000)
-        u = RandomStream(11).random(20_000)
+        u = eager_generator(11).random(20_000)
         product = np.multiply(u, high - low)
         assert np.array_equal(drawn, np.add(product, low))
+        assert np.array_equal(drawn, eager_generator(11).uniform(low, high, 20_000))
         # and the scalar steps the cut evaluates give the same doubles
         assert all(low + (high - low) * x == y for x, y in zip(u[:500].tolist(), drawn[:500]))
+        rs = RandomStream(11)
+        assert [rs.uniform(low, high) for _ in range(500)] == drawn[:500].tolist()
 
     def test_doubles_are_whole_multiples_of_two_to_minus_53(self):
-        u = RandomStream(12).random(20_000) * 2.0**53
+        u = RandomStream(12).uniform(0.0, 1.0, 20_000) * 2.0**53
         assert np.array_equal(u, np.floor(u)) and u.max() < 2.0**53
 
     @pytest.mark.parametrize("eps, d", [(1.0, 0.0), (0.5, 0.2), (1e-9, 0.3), (1e-300, 0.3)])
     def test_snap_points_are_the_uniform_draw(self, eps, d):
         band = ElasticSpec(eps, d)
         lam = run_recorded(Z, Z, band, 5_000, 13).break_points
-        drawn = RandomStream(13).substream(0).uniform(band.break_lower, band.break_upper, 5_000)
-        assert np.array_equal(lam.view(np.uint64), drawn.view(np.uint64))
+        lo, hi = band.break_lower, band.break_upper
+        for drawn in (
+            eager_generator(13, (0,)).uniform(lo, hi, 5_000),
+            RandomStream(13).substream(0).uniform(lo, hi, 5_000),
+        ):
+            assert np.array_equal(lam.view(np.uint64), drawn.view(np.uint64))
 
 
 class TestCutsPerCall:
