@@ -157,7 +157,7 @@ def joint_counts(
     cuts = _cut(ElasticSpec(elastic.epsilon, 0.0), 0.0), _cut(elastic, t_ab), _cut(elastic, -t_ab)
 
     def run_block(rs: RandomStream, m: int, _start: int):
-        a_up, b_up = _pair_block(rs, m, elastic, cuts)
+        a_up, b_up = _pair_block(rs.words, m, elastic, cuts)
         pp = int(np.count_nonzero(a_up & b_up))
         return pp, int(np.count_nonzero(a_up)) - pp, int(np.count_nonzero(b_up)) - pp
 
@@ -261,7 +261,7 @@ def severed_correlation_mc(
     n, workers = _checked(n, workers)
 
     def run_block(rs: RandomStream, m: int, _start: int) -> int:
-        a_up, b_up = _severed_block(rs, m, elastic)
+        a_up, b_up = _severed_block(rs.words, m, elastic)
         return int(np.count_nonzero(a_up == b_up))
 
     same = sum(_map_blocks(run_block, n, seed, workers))

@@ -15,11 +15,11 @@ package itself turns them into doubles, snap points and coins.
 
 Bulk runs partition trials into fixed-size blocks; block ``j`` draws from
 ``substream(j)`` only.  Three block kernels turn a block's words into
-outcomes: :func:`_spin_block` (one wing) reads a word source, a callable
-``words(k)`` that returns the next ``k`` words, such as a stream's
-``words``; :func:`_pair_block` (rod-coupled pairs) and
-:func:`_severed_block` (the rod cut) take the block's stream.  The public
-kernels here and in :mod:`qmachine.epr` reduce them.  One dispatcher,
+outcomes: :func:`_spin_block` (one wing), :func:`_pair_block` (rod-coupled
+pairs) and :func:`_severed_block` (the rod cut).  Each reads one word
+source, a callable ``words(k)`` that returns the next ``k`` words, such as
+a stream's ``words``, and reads it in order.  The public kernels here and
+in :mod:`qmachine.epr` reduce them.  One dispatcher,
 :func:`_map_blocks`, runs the blocks through :func:`_map_indexed`, which
 runs any list of independent tasks on threads, the calling thread one of
 them.  Results are therefore bit-identical no matter how many workers
@@ -28,9 +28,7 @@ commutes.  Philox is counter-based, so a stream's words are a pure function
 of ``(seed, spawn_key)`` and the word's offset: a :func:`run_trials` call
 of one block reads that block's words straight from
 ``_philox(seed, spawn_key + (0,))``, the words of ``substream(0)`` bit for
-bit, with no dispatch or substream handle; and ``words_at(offset)`` starts
-a second word source at any word of a stream without drawing the ones
-before it.
+bit, with no dispatch or substream handle.
 
 Within a block the draw order is fixed: one word per snap point, then one
 coin per exact tie, in trial order, and only when ties occur.  A word ``x``
@@ -101,17 +99,6 @@ class RandomStream:
         if self._bits is None:
             self._bits = _philox(self.seed, self.spawn_key)
         return self._bits.random_raw(size)
-
-    def words_at(self, offset: int):
-        """A word source of this stream's words from word ``offset`` on,
-        counting from the stream's first word; the stream does not move."""
-        offset = _whole(offset, "offset")
-        if offset < 0:
-            raise ValueError(f"offset must be non-negative, got {offset}")
-        bits = _philox(self.seed, self.spawn_key)
-        bits.advance(offset // 4)  # one Philox counter step makes four words
-        bits.random_raw(offset % 4)
-        return bits.random_raw
 
     def substream(self, index: int) -> "RandomStream":
         """Independent child stream number ``index``."""
@@ -326,7 +313,8 @@ def _map_indexed(fn, count: int, workers: int) -> list:
     """``[fn(i) for i in range(count)]`` on ``min(workers, count)`` threads,
     the calling thread one of them, inline when that is 1: each thread
     claims the next unclaimed index until none is left and stores its
-    result at that index."""
+    result at that index.  Once a task raises, Ctrl-C too, no thread claims
+    another index, and the first exception propagates."""
     threads = min(workers, count)
     if threads <= 1:
         return [fn(i) for i in range(count)]
@@ -334,10 +322,15 @@ def _map_indexed(fn, count: int, workers: int) -> list:
     claims = itertools.count()  # its ``next`` is atomic under the GIL
 
     def work():
-        for i in claims:
-            if i >= count:
-                return
-            results[i] = fn(i)
+        nonlocal count
+        try:
+            for i in claims:
+                if i >= count:
+                    return
+                results[i] = fn(i)
+        except BaseException:
+            count = 0  # a task failed: no thread claims another index
+            raise
 
     with ThreadPoolExecutor(max_workers=threads - 1) as pool:
         helpers = [pool.submit(work) for _ in range(threads - 1)]
@@ -367,13 +360,21 @@ def _map_blocks(block_fn, n: int, seed, workers: int = 1) -> list:
 def _doubles(x: np.ndarray, low: float, high: float, out=None) -> np.ndarray:
     """``low + (high - low) * u`` for the doubles ``u = (x >> 11) * 2**-53``
     of the words ``x``, which are shifted in place: ``u`` is formed into
-    ``out`` or a new float buffer, exact through an int64 view, then scaled
-    in place in two separately rounded steps."""
+    ``out``, or else into the words' own memory, exact through an int64
+    view, then scaled in place in two separately rounded steps."""
     x >>= np.uint64(11)
-    u = np.multiply(x.view(np.int64), _STEP, out=out)
-    u *= high - low
-    u += low
-    return u
+    k = x.view(np.int64)
+    if out is None:
+        # a cast, then an in-place scale: a ufunc whose ``out`` is its own
+        # input's memory under another dtype goes through a temporary copy
+        out = x.view(np.float64)
+        np.copyto(out, k, casting="unsafe")
+        out *= _STEP
+    else:
+        np.multiply(k, _STEP, out=out)
+    out *= high - low
+    out += low
+    return out
 
 
 def _settle(up: np.ndarray, tie: np.ndarray, coins) -> np.ndarray:
@@ -513,37 +514,31 @@ def _spin_block(words, m: int, elastic: ElasticSpec, cut, flip=None, flip_cut=No
     return _resolve_cut(x, cut, words, flip, flip_cut), x
 
 
-def _pair_block(rs: RandomStream, m: int, elastic: ElasticSpec, cuts):
-    """One block of ``m`` rod-coupled pairs, left wing first: ``(a_up, b_up)``.
-    ``cuts`` are the left wing's cut at 0 and the partner's cuts at ``t_ab``
-    and at ``-t_ab``, where it lands after an up outcome; the left band
-    ``(eps, 0)`` differs from ``elastic`` only in d, which no draw reads."""
+def _pair_block(words, m: int, elastic: ElasticSpec, cuts):
+    """One block of ``m`` rod-coupled pairs from the word source ``words``,
+    left wing first: ``(a_up, b_up)``.  ``cuts`` are the left wing's cut at
+    0 and the partner's cuts at ``t_ab`` and at ``-t_ab``, where it lands
+    after an up outcome; the left band ``(eps, 0)`` differs from
+    ``elastic`` only in d, which no draw reads."""
     left_cut, right_cut, flipped_cut = cuts
-    a_up = _spin_block(rs.words, m, elastic, left_cut)[0]
-    return a_up, _spin_block(rs.words, m, elastic, right_cut, a_up, flipped_cut)[0]
+    a_up = _spin_block(words, m, elastic, left_cut)[0]
+    return a_up, _spin_block(words, m, elastic, right_cut, a_up, flipped_cut)[0]
 
 
-def _severed_block(rs: RandomStream, m: int, elastic: ElasticSpec):
+def _severed_block(words, m: int, elastic: ElasticSpec):
     """One block of ``m`` severed-rod pairs, each wing at its own uniform
-    surface state: ``(a_up, b_up)``.  The block reads its stream's words in a
-    fixed order: the left states, the right states, then (eps > 0) the left
-    and right snap points, then one coin per exact tie, left wing first.  It
-    holds two buffers of ``m`` doubles: the snap points come from a second
-    word source started at word ``2m``, and the right wing is drawn into the
-    left wing's buffers once the left comparison is done."""
+    surface state: ``(a_up, b_up)``.  The block reads the word source
+    ``words`` in a fixed order: the left states, the right states, then
+    (eps > 0) the left and right snap points, all in one draw, then one
+    coin per exact tie, left wing first.  The states and the snap points
+    are formed in the draw's own memory."""
     lo, hi = elastic.break_lower, elastic.break_upper
-    t = _doubles(rs.words(m), -1.0, 1.0)
-    if elastic.epsilon == 0.0:
-        lam, words = elastic.d, rs.words  # nothing to draw for the snap points
-    else:
-        words = rs.words_at(2 * m)
-        lam = _doubles(words(m), lo, hi)
-    a_up, a_tie = lam < t, lam == t
-    _doubles(rs.words(m), -1.0, 1.0, out=t)
-    if elastic.epsilon != 0.0:
-        _doubles(words(m), lo, hi, out=lam)
+    rigid = elastic.epsilon == 0.0  # the snap point is d: nothing to draw
+    x = words(2 * m if rigid else 4 * m)
+    t = _doubles(x[:2 * m], -1.0, 1.0).reshape(2, m)
+    lam = (elastic.d,) * 2 if rigid else _doubles(x[2 * m:], lo, hi).reshape(2, m)
     coins = functools.partial(_coins, words)
-    return _settle(a_up, a_tie, coins), _settle(lam < t, lam == t, coins)
+    return tuple(_settle(snap < state, snap == state, coins) for snap, state in zip(lam, t))
 
 
 def run_trials(

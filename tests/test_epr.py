@@ -564,8 +564,7 @@ class TestSeveredRod:
 class GridStream(RandomStream):
     """Stands in for a block's stream: word number ``p`` is a pure function
     of ``p`` and the spawn key, with only its top three bits set, so its
-    double lies on the grid k/8 and states, snap points and coins tie often.
-    ``words_at`` follows the same word sequence as the stream."""
+    double lies on the grid k/8 and states, snap points and coins tie often."""
 
     def __init__(self, seed, spawn_key=(), position=0):
         super().__init__(seed, spawn_key)
@@ -573,9 +572,6 @@ class GridStream(RandomStream):
 
     def substream(self, index):
         return GridStream(self.seed, self.spawn_key + (index,))
-
-    def words_at(self, offset):
-        return GridStream(self.seed, self.spawn_key, offset).words
 
     def words(self, size=None):
         m = 1 if size is None else size
@@ -811,7 +807,7 @@ class TestJointCountsScalarPath:
         cuts = _cut(band, 0.0), _cut(band, t_ab), _cut(band, -t_ab)
         root = RandomStream(seed)
         for j, (m, (a_out, _, b_out, _)) in enumerate(zip(_block_lengths(n, BLOCK_SIZE), blocks)):
-            a_up, b_up = _pair_block(root.substream(j), m, band, cuts)
+            a_up, b_up = _pair_block(root.substream(j).words, m, band, cuts)
             assert a_up.tolist() == [o is O1 for o in a_out]
             assert b_up.tolist() == [o is O1 for o in b_out]
 

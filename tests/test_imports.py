@@ -111,18 +111,15 @@ def test_check_sees_uncalled_exports():
     assert uncalled_exports(init, callers, readme) == ["gone", "gone_too"]
 
 
-# the sampler internals that build or read a block's draws, and the stream
-# method that starts a second word source: only ``sampler``'s block kernels
-# use them
+# the sampler internals that build or read a block's draws: only
+# ``sampler``'s block kernels use them
 DRAW_INTERNALS = {
     "_resolve_cut", "_settle", "_doubles", "_coins", "_below", "_NO_DRAWS", "_philox"
 }
-GENERATOR_CALLS = {"words_at"}
 
 
 def draw_internals_used(source: str) -> list[str]:
-    """The draw internals ``source`` imports or reads as attributes, and
-    the second word sources it starts."""
+    """The draw internals ``source`` imports or reads as attributes."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -132,9 +129,6 @@ def draw_internals_used(source: str) -> list[str]:
             ]
         elif isinstance(node, ast.Attribute) and node.attr in DRAW_INTERNALS:
             found.append(f"read {node.attr} (line {node.lineno})")
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr in GENERATOR_CALLS):
-            found.append(f"call {node.func.attr} (line {node.lineno})")
     return sorted(found)
 
 
@@ -147,11 +141,9 @@ def test_check_sees_draw_internals():
         "from .sampler import _cut, _resolve_cut as rc\n"
         "import qmachine.sampler\n"
         "up = qmachine.sampler._below(x, 0.5)\n"
-        "tail = rs.words_at(3)(2)\n"
         "rs.words(2)\n"
     )
     assert draw_internals_used(source) == [
-        "call words_at (line 4)",
         "import _resolve_cut (line 1)",
         "read _below (line 3)",
     ]

@@ -24,9 +24,11 @@ from qmachine.sampler import (
     _block_lengths,
     _coins,
     _cut,
+    _doubles,
     _map_blocks,
     _map_indexed,
     _resolve_cut,
+    _severed_block,
     _spin_block,
     hidden_outcome,
     measure,
@@ -202,14 +204,16 @@ class TestRandomStream:
             assert type(mine) is type(reference)
             assert np.asarray(mine).tobytes() == np.asarray(reference).tobytes()
 
-    # 2m for m in 1, 2, 3 and 5 too: the severed block's second source
+    # the severed block's one draw of 4m words reads what its four draws of
+    # m did: the words from ``offset`` on, once ``offset`` are drawn, are
+    # the tail of one long draw, whatever ``offset`` is modulo the four
+    # words of a Philox counter step
     @pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 5, 6, 10, 2 * 1000 + 3])
     def test_words_at_is_the_tail_of_one_long_draw(self, offset):
         rs = RandomStream(31, spawn_key=(4, 2))
         whole = eager_generator(31, (4, 2)).bit_generator.random_raw(offset + 1000)
-        assert np.array_equal(rs.words_at(offset)(1000), whole[offset:])
-        # the stream's own words still start at word 0
-        assert np.array_equal(rs.words(5), whole[:5])
+        assert np.array_equal(rs.words(offset), whole[:offset])
+        assert np.array_equal(rs.words(1000), whole[offset:])
 
     def test_words_are_the_doubles_of_random(self):
         x = RandomStream(21, spawn_key=(3,)).words(20_000)
@@ -224,7 +228,7 @@ class TestRandomStream:
         assert np.array_equal(_coins(RandomStream(22).words, 20_000), coins)
         assert 9_000 < coins.sum() < 11_000
 
-    def test_words_uniform_and_words_at_read_one_sequence(self):
+    def test_words_and_uniform_read_one_sequence(self):
         rs = RandomStream(23, spawn_key=(1, 5))
         whole = eager_generator(23, (1, 5)).random(24)
 
@@ -233,28 +237,11 @@ class TestRandomStream:
 
         assert np.array_equal(doubles(rs.words(7)), whole[:7])
         assert np.array_equal(rs.uniform(0.0, 1.0, 6), whole[7:13])
-        # a source at word 13 reads on; the stream stays at word 13
-        assert np.array_equal(doubles(rs.words_at(13)(9)), whole[13:22])
         assert np.array_equal(doubles(rs.words(5)), whole[13:18])
-        assert np.array_equal(doubles(rs.words_at(18)(2)), whole[18:20])
         assert np.array_equal(rs.uniform(0.0, 1.0, 3), whole[18:21])
         rs.words(1)
         assert rs.uniform(0.0, 1.0) == whole[22]
         assert rs.coin() == (whole[23] < 0.5)
-
-    @pytest.mark.parametrize("offset, error, match", [
-        (-1, ValueError, "^offset must be non-negative"),
-        (True, TypeError, "^offset must be an integer"),
-        (2.5, TypeError, "^offset must be an integer"),
-        ("3", TypeError, "^offset must be an integer"),
-    ])
-    def test_words_at_rejects_bad_offsets(self, offset, error, match):
-        with pytest.raises(error, match=match):
-            RandomStream(31).words_at(offset)
-
-    def test_words_at_takes_numpy_integers(self):
-        tail = RandomStream(31).words_at(np.int64(6))(4)
-        assert np.array_equal(tail, eager_generator(31).bit_generator.random_raw(10)[6:])
 
     def test_uniformity(self):
         # 20-bin chi-square on 1e6 doubles; df = 19, 43.8 is the 99.9% point
@@ -302,10 +289,9 @@ class TestGeneratorBuilds:
         assert builds[0] == 3
 
     def test_severed_scan_builds_one_per_block(self, builds):
-        # 2 x 2 correlation estimates of 2 blocks each; a block of a band
-        # with eps > 0 builds a second Philox for its snap points
+        # 2 x 2 correlation estimates of 2 blocks each
         severed_chsh_scan(ElasticSpec(1.0, 0.0), angles_count=2, n=BLOCK_SIZE + 1)
-        assert builds[0] == 16
+        assert builds[0] == 8
 
     def test_certain_outcomes_build_none(self, builds):
         # the band [-0.3, 0.7] lies wholly below 0.8 and above -0.5
@@ -979,6 +965,21 @@ class TestDrawArithmetic:
         u = RandomStream(12).uniform(0.0, 1.0, 20_000) * 2.0**53
         assert np.array_equal(u, np.floor(u)) and u.max() < 2.0**53
 
+    @pytest.mark.parametrize("low, high", GUARD_BANDS)
+    def test_doubles_in_place_are_the_doubles_into_out(self, low, high):
+        words = RandomStream(14).words(20_000)
+        into = _doubles(words.copy(), low, high, out=np.empty(20_000))
+        in_place = _doubles(words, low, high)
+        assert np.shares_memory(in_place, words)
+        assert np.array_equal(in_place.view(np.uint64), into.view(np.uint64))
+
+    def test_severed_block_holds_its_words_and_little_more(self):
+        # its 4m words take 2 MB; forming the doubles through a ufunc whose
+        # ``out`` is the words' own memory peaks at ~3.06 MB
+        words = RandomStream(15).substream(0).words
+        _, peak = traced_peak(lambda: _severed_block(words, BLOCK_SIZE, ElasticSpec(1.0, 0.0)))
+        assert peak <= 2.5 * 2**20
+
     @pytest.mark.parametrize("eps, d", [(1.0, 0.0), (0.5, 0.2), (1e-9, 0.3), (1e-300, 0.3)])
     def test_snap_points_are_the_uniform_draw(self, eps, d):
         band = ElasticSpec(eps, d)
@@ -1166,6 +1167,23 @@ class TestDispatcher:
 
         with pytest.raises(RuntimeError, match="caller's task failed"):
             _map_indexed(fail_on_caller, 2, 2)
+
+    def test_failed_task_stops_the_threads(self):
+        # the caller's first task is interrupted; the pool thread finishes
+        # the task it holds and claims no other
+        caller = threading.get_ident()
+        helper_ran = []
+
+        def interrupted_on_caller(i):
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt
+            time.sleep(0.002)
+            helper_ran.append(i)
+            return i
+
+        with pytest.raises(KeyboardInterrupt):
+            _map_indexed(interrupted_on_caller, 400, 2)
+        assert len(helper_ran) <= 2
 
     def test_every_index_runs_once_under_contention(self):
         # more threads than cores, switching as often as the interpreter
