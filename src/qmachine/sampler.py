@@ -363,15 +363,12 @@ def _doubles(x: np.ndarray, low: float, high: float, out=None) -> np.ndarray:
     ``out``, or else into the words' own memory, exact through an int64
     view, then scaled in place in two separately rounded steps."""
     x >>= np.uint64(11)
-    k = x.view(np.int64)
     if out is None:
-        # a cast, then an in-place scale: a ufunc whose ``out`` is its own
-        # input's memory under another dtype goes through a temporary copy
         out = x.view(np.float64)
-        np.copyto(out, k, casting="unsafe")
-        out *= _STEP
-    else:
-        np.multiply(k, _STEP, out=out)
+    # a cast, then an in-place scale: a ufunc whose ``out`` is its own
+    # input's memory under another dtype goes through a temporary copy
+    np.copyto(out, x.view(np.int64), casting="unsafe")
+    out *= _STEP
     out *= high - low
     out += low
     return out

@@ -204,10 +204,10 @@ class TestRandomStream:
             assert type(mine) is type(reference)
             assert np.asarray(mine).tobytes() == np.asarray(reference).tobytes()
 
-    # the severed block's one draw of 4m words reads what its four draws of
-    # m did: the words from ``offset`` on, once ``offset`` are drawn, are
-    # the tail of one long draw, whatever ``offset`` is modulo the four
-    # words of a Philox counter step
+    # the words at any ``offset``, read once ``offset`` words are drawn,
+    # are the tail of one long draw, whatever ``offset`` is modulo the four
+    # words of a Philox counter step: so the severed block's one draw of 4m
+    # words reads what its four draws of m did
     @pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 5, 6, 10, 2 * 1000 + 3])
     def test_words_at_is_the_tail_of_one_long_draw(self, offset):
         rs = RandomStream(31, spawn_key=(4, 2))
@@ -968,10 +968,13 @@ class TestDrawArithmetic:
     @pytest.mark.parametrize("low, high", GUARD_BANDS)
     def test_doubles_in_place_are_the_doubles_into_out(self, low, high):
         words = RandomStream(14).words(20_000)
+        u = (words >> np.uint64(11)).view(np.int64) * 2.0**-53
+        expected = np.add(np.multiply(u, high - low), low)
         into = _doubles(words.copy(), low, high, out=np.empty(20_000))
         in_place = _doubles(words, low, high)
         assert np.shares_memory(in_place, words)
         assert np.array_equal(in_place.view(np.uint64), into.view(np.uint64))
+        assert np.array_equal(in_place.view(np.uint64), expected.view(np.uint64))
 
     def test_severed_block_holds_its_words_and_little_more(self):
         # its 4m words take 2 MB; forming the doubles through a ufunc whose
@@ -1168,22 +1171,33 @@ class TestDispatcher:
         with pytest.raises(RuntimeError, match="caller's task failed"):
             _map_indexed(fail_on_caller, 2, 2)
 
-    def test_failed_task_stops_the_threads(self):
-        # the caller's first task is interrupted; the pool thread finishes
-        # the task it holds and claims no other
+    def test_failed_task_stops_the_threads(self, monkeypatch):
+        # the caller's first task is interrupted while the pool thread holds
+        # one; that one ends only once the caller, its failure recorded, is
+        # shutting the pool down, and the pool thread claims no other
         caller = threading.get_ident()
+        held, stopping = threading.Event(), threading.Event()
         helper_ran = []
+
+        class Pool(qmachine.sampler.ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                stopping.set()
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(qmachine.sampler, "ThreadPoolExecutor", Pool)
 
         def interrupted_on_caller(i):
             if threading.get_ident() == caller:
+                assert held.wait(10)
                 raise KeyboardInterrupt
-            time.sleep(0.002)
+            held.set()
+            assert stopping.wait(10)
             helper_ran.append(i)
             return i
 
         with pytest.raises(KeyboardInterrupt):
             _map_indexed(interrupted_on_caller, 400, 2)
-        assert len(helper_ran) <= 2
+        assert len(helper_ran) == 1
 
     def test_every_index_runs_once_under_contention(self):
         # more threads than cores, switching as often as the interpreter
