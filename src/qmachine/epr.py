@@ -156,12 +156,13 @@ def joint_counts(
     t_ab = axis_coordinate(a, b)
     cuts = _cut(ElasticSpec(elastic.epsilon, 0.0), 0.0), _cut(elastic, t_ab), _cut(elastic, -t_ab)
 
-    def run_block(rs: RandomStream, m: int, _start: int):
-        a_up, b_up = _pair_block(rs.words, m, elastic, cuts)
-        pp = int(np.count_nonzero(a_up & b_up))
-        return pp, int(np.count_nonzero(a_up)) - pp, int(np.count_nonzero(b_up)) - pp
+    def run_block(words, m: int, _start: int) -> np.ndarray:
+        a_up, b_up = _pair_block(words, m, elastic, cuts)
+        pp, a1, b1 = (int(np.count_nonzero(x)) for x in (a_up & b_up, a_up, b_up))
+        # Python ints in an object array: blocks add cell by cell, exactly
+        return np.array((pp, a1 - pp, b1 - pp), dtype=object)
 
-    pp, pm, mp = map(sum, zip(*_map_blocks(run_block, n, seed, workers)))
+    pp, pm, mp = _map_blocks(run_block, n, seed, workers)
     return {
         (Outcome.O1, Outcome.O1): pp,
         (Outcome.O1, Outcome.O2): pm,
@@ -260,11 +261,11 @@ def severed_correlation_mc(
     """
     n, workers = _checked(n, workers)
 
-    def run_block(rs: RandomStream, m: int, _start: int) -> int:
-        a_up, b_up = _severed_block(rs.words, m, elastic)
+    def run_block(words, m: int, _start: int) -> int:
+        a_up, b_up = _severed_block(words, m, elastic)
         return int(np.count_nonzero(a_up == b_up))
 
-    same = sum(_map_blocks(run_block, n, seed, workers))
+    same = _map_blocks(run_block, n, seed, workers)
     return (2 * same - n) / n
 
 

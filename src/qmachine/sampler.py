@@ -8,27 +8,22 @@ handle on numpy's counter-based Philox bit generator, keyed via
 yields statistically independent child streams that are reproducible across
 platforms, numpy releases with the same bit generator, and worker counts.
 A stream builds its Philox at its first draw, so a root that only hands
-out substreams never builds one; ``substream`` never touches the parent's
-Philox, so the threads of :func:`_map_blocks` call it on a shared root.
-Every draw is a 64-bit Philox word: a stream hands out words, and the
-package itself turns them into doubles, snap points and coins.
+out substreams never builds one.  Every draw is a 64-bit Philox word: a
+stream hands out words, and the package itself turns them into doubles,
+snap points and coins.
 
-Bulk runs partition trials into fixed-size blocks; block ``j`` draws from
-``substream(j)`` only.  Three block kernels turn a block's words into
-outcomes: :func:`_spin_block` (one wing), :func:`_pair_block` (rod-coupled
-pairs) and :func:`_severed_block` (the rod cut).  Each reads one word
-source, a callable ``words(k)`` that returns the next ``k`` words, such as
-a stream's ``words``, and reads it in order.  The public kernels here and
-in :mod:`qmachine.epr` reduce them.  One dispatcher,
-:func:`_map_blocks`, runs the blocks through :func:`_map_indexed`, which
-runs any list of independent tasks on threads, the calling thread one of
-them.  Results are therefore bit-identical no matter how many workers
-execute the blocks, and aggregation is a plain sum of counts, which
-commutes.  Philox is counter-based, so a stream's words are a pure function
-of ``(seed, spawn_key)`` and the word's offset: a :func:`run_trials` call
-of one block reads that block's words straight from
-``_philox(seed, spawn_key + (0,))``, the words of ``substream(0)`` bit for
-bit, with no dispatch or substream handle.
+Bulk runs partition trials into fixed-size blocks; block ``j`` draws the
+words of ``substream(j)`` only.  Three block kernels turn a block's words
+into outcomes: :func:`_spin_block` (one wing), :func:`_pair_block`
+(rod-coupled pairs) and :func:`_severed_block` (the rod cut).  Each reads
+one word source, a callable ``words(k)`` that returns the next ``k`` words,
+in order.  Philox is counter-based, so block ``j``'s words are a pure
+function of ``(seed, spawn_key + (j,))``: the one dispatcher,
+:func:`_map_blocks`, reads them straight from that key's Philox, with no
+substream handle.  It runs the blocks on threads, the calling thread one of
+them, and sums their results as they finish.  A sum of counts commutes, so
+results are bit-identical for any number of workers, and a call holds no
+per-block state at any ``n``.
 
 Within a block the draw order is fixed: one word per snap point, then one
 coin per exact tie, in trial order, and only when ties occur.  A word ``x``
@@ -285,11 +280,6 @@ def measure(
     return outcome, post, break_point
 
 
-def _block_lengths(n: int, block_size: int) -> list[int]:
-    full, rem = divmod(n, block_size)
-    return [block_size] * full + ([rem] if rem else [])
-
-
 def _whole(value, name: str) -> int:
     """``value`` as an int: numpy integers pass, a bool or a float does not."""
     if type(value) is int:
@@ -309,52 +299,64 @@ def _checked(n, workers) -> tuple[int, int]:
     return n, workers
 
 
-def _map_indexed(fn, count: int, workers: int) -> list:
-    """``[fn(i) for i in range(count)]`` on ``min(workers, count)`` threads,
-    the calling thread one of them, inline when that is 1: each thread
-    claims the next unclaimed index until none is left and stores its
-    result at that index.  Once a task raises, Ctrl-C too, no thread claims
+def _threads(work, count: int, workers: int) -> list:
+    """``work(claimed)`` on each of ``min(workers, count)`` threads, the
+    calling thread first, inline when that is 1, as the list of their
+    results: ``claimed`` yields the next unclaimed index of ``range(count)``
+    until none is left.  Once a task raises, Ctrl-C too, no thread claims
     another index, and the first exception propagates."""
     threads = min(workers, count)
     if threads <= 1:
-        return [fn(i) for i in range(count)]
-    results = [None] * count
+        return [work(range(count))]
     claims = itertools.count()  # its ``next`` is atomic under the GIL
 
-    def work():
+    def run():
         nonlocal count
         try:
-            for i in claims:
-                if i >= count:
-                    return
-                results[i] = fn(i)
+            return work(itertools.takewhile(lambda i: i < count, claims))
         except BaseException:
             count = 0  # a task failed: no thread claims another index
             raise
 
     with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(threads - 1)]
-        work()
-        for task in helpers:
-            task.result()
+        helpers = [pool.submit(run) for _ in range(threads - 1)]
+        return [run()] + [task.result() for task in helpers]
+
+
+def _map_indexed(fn, count: int, workers: int) -> list:
+    """``[fn(i) for i in range(count)]`` on the threads of :func:`_threads`,
+    each result stored at its task's index."""
+    results = [None] * count
+
+    def store(claimed):
+        for i in claimed:
+            results[i] = fn(i)
+
+    _threads(store, count, workers)
     return results
 
 
-def _map_blocks(block_fn, n: int, seed, workers: int = 1) -> list:
-    """``block_fn(root.substream(j), m, start)`` for each block ``j`` of
-    ``m`` trials from trial ``start`` on, in block order.
-
-    The ``n`` trials fill blocks of ``BLOCK_SIZE``, the last one takes the
-    rest; ``seed`` is an int or the root :class:`RandomStream`.  The blocks
-    run through :func:`_map_indexed` on ``workers`` threads, which runs
-    them inline for one worker or one block.
+def _map_blocks(block_fn, n: int, seed, workers: int = 1):
+    """The sum of ``block_fn(words, m, start)`` over the blocks of ``n``
+    trials, checked by the caller: block ``j`` has ``m = min(BLOCK_SIZE,
+    n - start)`` trials from ``start = j * BLOCK_SIZE`` on, and ``words`` is
+    the ``random_raw`` of its Philox, the words of ``root.substream(j)``;
+    ``seed`` is an int or the root :class:`RandomStream`.  Each thread of
+    :func:`_threads` adds up the blocks it claims, so a call holds no state
+    per block.
     """
-    n, workers = _checked(n, workers)
     root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
-    sizes = _block_lengths(n, BLOCK_SIZE)
-    return _map_indexed(
-        lambda j: block_fn(root.substream(j), sizes[j], j * BLOCK_SIZE), len(sizes), workers
-    )
+    seed, key = root.seed, root.spawn_key
+
+    def fold(claimed):
+        total = 0
+        for j in claimed:
+            start = j * BLOCK_SIZE
+            words = _philox(seed, key + (j,)).random_raw
+            total += block_fn(words, min(BLOCK_SIZE, n - start), start)
+        return total
+
+    return sum(_threads(fold, -(-n // BLOCK_SIZE), workers))
 
 
 def _doubles(x: np.ndarray, low: float, high: float, out=None) -> np.ndarray:
@@ -549,25 +551,21 @@ def run_trials(
     """Aggregate ``n`` measurements of state v along axis u.
 
     ``seed`` may be an integer or a :class:`RandomStream`.  The outcome
-    counts are identical for any ``workers`` value.  A call of one block
-    reads the block's words straight from its Philox, with no dispatch and
-    no substream handle: they are the words of ``root.substream(0)``.
+    counts are identical for any ``workers`` value.
     """
     n, workers = _checked(n, workers)
     cut = _cut(elastic, axis_coordinate(v, u))
     root = seed if isinstance(seed, RandomStream) else RandomStream(seed)
 
-    def count(words, m: int) -> int:
+    def count(words, m: int, _start: int) -> int:
         return int(np.count_nonzero(_spin_block(words, m, elastic, cut)[0]))
 
     if cut[0] == cut[1] and cut[0] in (0.0, 1.0):
         # a cut at 0 or 1 with no room for ties: every draw lands on one
         # side, so none is made
         n1 = n if cut[0] else 0
-    elif n <= BLOCK_SIZE:
-        n1 = count(_philox(root.seed, root.spawn_key + (0,)).random_raw, n)
     else:
-        n1 = sum(_map_blocks(lambda rs, m, _start: count(rs.words, m), n, root, workers))
+        n1 = _map_blocks(count, n, root, workers)
     return FrequencyTable(n1, n - n1)
 
 
@@ -589,13 +587,14 @@ def run_recorded(
     cut = _cut(elastic, axis_coordinate(v, u))
     break_points, o1 = np.empty(n), np.empty(n, dtype=bool)
 
-    def record_block(rs: RandomStream, m: int, start: int) -> None:
-        o1[start:start + m], x = _spin_block(rs.words, m, elastic, cut)
+    def record_block(words, m: int, start: int) -> int:
+        o1[start:start + m], x = _spin_block(words, m, elastic, cut)
         lam = break_points[start:start + m]
         if elastic.epsilon == 0.0:
             lam.fill(elastic.d)
         else:
             _doubles(x, elastic.break_lower, elastic.break_upper, out=lam)
+        return 0  # the block's trials are kept, not counted
 
     _map_blocks(record_block, n, seed)
     return TrialRecords._adopt(break_points, o1, u)

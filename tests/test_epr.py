@@ -28,7 +28,6 @@ from qmachine.geometry import Direction, ElasticSpec, Outcome, axis_coordinate
 from qmachine.sampler import (
     BLOCK_SIZE,
     RandomStream,
-    _block_lengths,
     _cut,
     _map_blocks,
     _pair_block,
@@ -42,6 +41,13 @@ Z = Direction(0.0, 0.0, 1.0)
 ROOT2 = math.sqrt(2.0)
 O1, O2 = Outcome.O1, Outcome.O2
 TSIRELSON = ChshSetting.from_plane_degrees(0.0, 90.0, 225.0, 135.0)
+
+
+def block_plan(n):
+    """``(j, m, start)`` of each block of ``n`` trials: ``BLOCK_SIZE`` trials
+    from ``start = j * BLOCK_SIZE`` on, the last block the rest."""
+    starts = range(0, n, BLOCK_SIZE)
+    return [(j, min(BLOCK_SIZE, n - start), start) for j, start in enumerate(starts)]
 
 
 def transposed(counts):
@@ -561,19 +567,16 @@ class TestSeveredRod:
             severed_chsh_scan(ElasticSpec(1.0, 0.0), 2, n, workers=workers)
 
 
-class GridStream(RandomStream):
-    """Stands in for a block's stream: word number ``p`` is a pure function
-    of ``p`` and the spawn key, with only its top three bits set, so its
-    double lies on the grid k/8 and states, snap points and coins tie often."""
+class GridStream:
+    """Stands in for the Philox of the stream keyed ``(seed, spawn_key)``:
+    word number ``p`` is a pure function of ``p`` and the spawn key, with
+    only its top three bits set, so its double lies on the grid k/8 and
+    states, snap points and coins tie often."""
 
-    def __init__(self, seed, spawn_key=(), position=0):
-        super().__init__(seed, spawn_key)
-        self.position = position
+    def __init__(self, seed, spawn_key):
+        self.seed, self.spawn_key, self.position = seed, spawn_key, 0
 
-    def substream(self, index):
-        return GridStream(self.seed, self.spawn_key + (index,))
-
-    def words(self, size=None):
+    def random_raw(self, size=None):
         m = 1 if size is None else size
         # splitmix64 of (position, key), top three bits
         x = np.arange(self.position, self.position + m, dtype=np.uint64)
@@ -597,10 +600,10 @@ def eager_generator(rs):
     )
 
 
-def word_uniform(rs):
-    """``uniform(lo, hi, m)`` on the next ``m`` words of ``rs``: the doubles
-    ``(x >> 11) * 2**-53`` scaled in two numpy steps."""
-    return lambda lo, hi, m: lo + (hi - lo) * ((rs.words(m) >> np.uint64(11)) * 2.0**-53)
+def word_uniform(words):
+    """``uniform(lo, hi, m)`` on the next ``m`` words of the word source
+    ``words``: the doubles ``(x >> 11) * 2**-53`` scaled in two numpy steps."""
+    return lambda lo, hi, m: lo + (hi - lo) * ((words(m) >> np.uint64(11)) * 2.0**-53)
 
 
 def snap_points(uniform, elastic, m):
@@ -623,8 +626,8 @@ def four_array_severed(elastic, n, seed, ties):
     then both wings' snap points, drawn in full from one word sequence
     before either is resolved.  Adds each block's exact ties to ``ties``."""
 
-    def run_block(rs, m, _start):
-        uniform = word_uniform(rs)
+    def run_block(words, m, _start):
+        uniform = word_uniform(words)
         t_left = uniform(-1.0, 1.0, m)
         t_right = uniform(-1.0, 1.0, m)
         lam_l = snap_points(uniform, elastic, m)
@@ -632,13 +635,13 @@ def four_array_severed(elastic, n, seed, ties):
         ties.append(int(np.count_nonzero(lam_l == t_left) + np.count_nonzero(lam_r == t_right)))
 
         def coins(k):
-            return rs.words(k) < np.uint64(1 << 63)
+            return words(k) < np.uint64(1 << 63)
 
         a_up = resolve(lam_l, t_left, coins)
         b_up = resolve(lam_r, t_right, coins)
         return int(np.count_nonzero(a_up == b_up))
 
-    same = sum(_map_blocks(run_block, n, seed))
+    same = _map_blocks(run_block, n, seed)
     return (2 * same - n) / n
 
 
@@ -648,11 +651,13 @@ class TestSeveredForcedTies:
         ElasticSpec(0.0, 0.5), ElasticSpec(0.0, 0.0),
     ])
     @pytest.mark.parametrize("n", [1, 7, 1000, BLOCK_SIZE + 5])
-    def test_matches_four_array_form(self, band, n):
+    def test_matches_four_array_form(self, band, n, monkeypatch):
+        # every block reads the grid words of its key in place of Philox's
+        monkeypatch.setattr(qmachine.sampler, "_philox", GridStream)
         ties = []
-        expected = four_array_severed(band, n, GridStream(3), ties)
+        expected = four_array_severed(band, n, 3, ties)
         for workers in (1, 2):
-            assert severed_correlation_mc(band, n, GridStream(3), workers) == expected
+            assert severed_correlation_mc(band, n, 3, workers) == expected
         if n >= 1000:
             assert sum(ties) > n // 20
 
@@ -679,14 +684,16 @@ SEVERED_PINS = {
 }
 
 
-def where_joint_counts(a, b, elastic, n, seed, workers=1):
+def where_joint_counts(a, b, elastic, n, seed):
     """joint_counts in its first form: the partner's axis coordinate built per
-    pair with np.where, and every cell counted from its own mask."""
+    pair with np.where, and every cell counted from its own mask, block by
+    block of :func:`block_plan`."""
     left_el = ElasticSpec(elastic.epsilon, 0.0)
     t_ab = axis_coordinate(a, b)
+    root = RandomStream(seed)
 
-    def run_block(rs, m, _start):
-        gen = eager_generator(rs)
+    def run_block(j, m):
+        gen = eager_generator(root.substream(j))
 
         def coins(k):
             return gen.random(k) < 0.5
@@ -694,12 +701,12 @@ def where_joint_counts(a, b, elastic, n, seed, workers=1):
         a_up = resolve(snap_points(gen.uniform, left_el, m), 0.0, coins)
         t2 = np.where(a_up, -t_ab, t_ab)
         b_up = resolve(snap_points(gen.uniform, elastic, m), t2, coins)
-        return tuple(
-            int(np.count_nonzero(x & y))
+        return np.array([
+            np.count_nonzero(x & y)
             for x, y in ((a_up, b_up), (a_up, ~b_up), (~a_up, b_up), (~a_up, ~b_up))
-        )
+        ])
 
-    cells = map(sum, zip(*_map_blocks(run_block, n, seed, workers)))
+    cells = sum(run_block(j, m) for j, m, _ in block_plan(n)).tolist()
     return dict(zip(((O1, O1), (O1, O2), (O2, O1), (O2, O2)), cells))
 
 
@@ -749,7 +756,7 @@ def scalar_pair_blocks(a, b, elastic, n, seed):
     """
     left_el = ElasticSpec(elastic.epsilon, 0.0)
     root = RandomStream(seed)
-    for j, m in enumerate(_block_lengths(n, BLOCK_SIZE)):
+    for j, m, _ in block_plan(n):
         rs = root.substream(j)
         a_out, a_tie, b_out, b_tie = [], [], [], []
         for _ in range(m):
@@ -806,7 +813,7 @@ class TestJointCountsScalarPath:
         t_ab = axis_coordinate(a, b)
         cuts = _cut(band, 0.0), _cut(band, t_ab), _cut(band, -t_ab)
         root = RandomStream(seed)
-        for j, (m, (a_out, _, b_out, _)) in enumerate(zip(_block_lengths(n, BLOCK_SIZE), blocks)):
+        for (j, m, _), (a_out, _, b_out, _) in zip(block_plan(n), blocks):
             a_up, b_up = _pair_block(root.substream(j).words, m, band, cuts)
             assert a_up.tolist() == [o is O1 for o in a_out]
             assert b_up.tolist() == [o is O1 for o in b_out]

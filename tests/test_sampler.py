@@ -21,7 +21,6 @@ from qmachine.sampler import (
     RandomStream,
     TrialRecord,
     TrialRecords,
-    _block_lengths,
     _coins,
     _cut,
     _doubles,
@@ -43,6 +42,13 @@ Z = Direction(0.0, 0.0, 1.0)
 
 def direction_at(t):
     return Direction(math.sqrt(max(0.0, 1.0 - t * t)), 0.0, t)
+
+
+def block_plan(n):
+    """``(j, m, start)`` of each block of ``n`` trials: ``BLOCK_SIZE`` trials
+    from ``start = j * BLOCK_SIZE`` on, the last block the rest."""
+    starts = range(0, n, BLOCK_SIZE)
+    return [(j, min(BLOCK_SIZE, n - start), start) for j, start in enumerate(starts)]
 
 
 def eager_generator(seed, key=()):
@@ -441,9 +447,8 @@ class TestRunTrials:
     ])
     @pytest.mark.parametrize("n", [1, 7, 1000, BLOCK_SIZE, BLOCK_SIZE + 1])
     def test_one_block_call_reads_block_zero(self, band, t, n):
-        """A call of one block reads its words straight from a Philox; they
-        must be the words of ``root.substream(0)``, as in every dispatched
-        kernel."""
+        """Every block reads its words straight from a Philox; they must be
+        the words of ``root.substream(j)``, a call of one block's included."""
         v = direction_at(t)
         cut = _cut(band, axis_coordinate(v, Z))
         seeds = [
@@ -456,7 +461,7 @@ class TestRunTrials:
             assert n_o1 == int(run_recorded(v, Z, band, n, seed).o1.sum())
             assert n_o1 == sum(
                 int(np.count_nonzero(_spin_block(root.substream(j).words, m, band, cut)[0]))
-                for j, m in enumerate(_block_lengths(n, BLOCK_SIZE))
+                for j, m, _ in block_plan(n)
             )
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
@@ -508,12 +513,12 @@ def block_order_records(v, u, elastic, n, seed):
     :func:`snap_points` and :func:`resolve` on numpy's doubles."""
     t = axis_coordinate(v, u)
     records = []
-    for j, m in enumerate(_block_lengths(n, BLOCK_SIZE)):
+    for j, m, start in block_plan(n):
         gen = eager_generator(seed, (j,))
         lam = snap_points(gen, elastic, m)
         for k, up in enumerate(resolve(lam, t, gen)):
             outcome, post = (Outcome.O1, SphereState(u)) if up else (Outcome.O2, SphereState(-u))
-            records.append(TrialRecord(j * BLOCK_SIZE + k, float(lam[k]), outcome, post))
+            records.append(TrialRecord(start + k, float(lam[k]), outcome, post))
     return records
 
 
@@ -528,11 +533,11 @@ def reference_records(v, u, elastic, n, seed):
     """
     root = RandomStream(seed)
     records = []
-    for j, m in enumerate(_block_lengths(n, BLOCK_SIZE)):
+    for j, m, start in block_plan(n):
         rs = root.substream(j)
         for k in range(m):
             outcome, post, break_point = measure(v, u, elastic, rs)
-            records.append(TrialRecord(j * BLOCK_SIZE + k, break_point, outcome, post))
+            records.append(TrialRecord(start + k, break_point, outcome, post))
     return records
 
 
@@ -1051,18 +1056,33 @@ class InlineExecutor:
         return future
 
 
-def block_id(rs, m, start):
-    return rs.spawn_key, m, start
+def block_id(seen):
+    """A block function that appends ``(first word, m, start)`` of each
+    block it runs to ``seen`` and counts the block."""
+
+    def block(words, m, start):
+        seen.append((int(words(1)[0]), m, start))
+        return 1
+
+    return block
 
 
-def expected_ids(n):
-    return [((j,), m, j * BLOCK_SIZE) for j, m in enumerate(_block_lengths(n, BLOCK_SIZE))]
+def expected_ids(n, seed=3):
+    """What :func:`block_id` records for each block of ``n`` trials, in
+    block order: the first word of ``RandomStream(seed).substream(j)``."""
+    root = RandomStream(seed)
+    return [(int(root.substream(j).words(1)[0]), m, start) for j, m, start in block_plan(n)]
+
+
+def block_order(seen):
+    return sorted(seen, key=lambda record: record[2])
 
 
 class TestDispatcher:
     """``_map_blocks`` starts one task per thread, never more threads than
     blocks, the calling thread one of them, and no pool for a call that fits
-    one thread."""
+    one thread; it runs every block once, on its own words, and sums the
+    blocks' results."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -1084,19 +1104,25 @@ class TestDispatcher:
         ],
     )
     def test_one_task_per_thread(self, pools, workers, n, threads):
-        assert _map_blocks(block_id, n, RandomStream(3), workers) == expected_ids(n)
+        seen = []
+        assert _map_blocks(block_id(seen), n, RandomStream(3), workers) == len(block_plan(n))
+        assert block_order(seen) == expected_ids(n)
         [pool] = pools
         assert pool.max_workers == threads - 1
         assert len(pool.tasks) == threads - 1
 
     @pytest.mark.parametrize("workers", [1, 2, 8, 10**6])
     def test_one_block_runs_inline(self, pools, workers):
-        assert _map_blocks(block_id, BLOCK_SIZE, 3, workers) == expected_ids(BLOCK_SIZE)
-        assert _map_blocks(block_id, 7, 3, workers) == [((0,), 7, 0)]
+        seen = []
+        assert _map_blocks(block_id(seen), BLOCK_SIZE, 3, workers) == 1
+        assert _map_blocks(block_id(seen), 7, 3, workers) == 1
+        assert seen == expected_ids(BLOCK_SIZE) + [(expected_ids(7)[0][0], 7, 0)]
         assert pools == []
 
     def test_one_worker_runs_inline(self, pools):
-        assert _map_blocks(block_id, 5 * BLOCK_SIZE, 3) == expected_ids(5 * BLOCK_SIZE)
+        seen = []
+        assert _map_blocks(block_id(seen), 5 * BLOCK_SIZE, 3) == 5
+        assert seen == expected_ids(5 * BLOCK_SIZE)
         assert pools == []
 
     def test_certain_run_trials_starts_no_pool(self, pools):
@@ -1118,8 +1144,8 @@ class TestDispatcher:
         assert pools == []
 
     def test_exception_propagates(self, pools):
-        def fail_at_one(rs, m, start):
-            if rs.spawn_key == (1,):
+        def fail_at_one(words, m, start):
+            if start == BLOCK_SIZE:
                 raise RuntimeError("block 1 failed")
             return m
 
@@ -1127,16 +1153,20 @@ class TestDispatcher:
             _map_blocks(fail_at_one, 3 * BLOCK_SIZE, 3, workers=2)
 
     def test_threads_return_block_order(self):
-        # later blocks finish first; every result still lands at its index
+        # later blocks finish first; every block still runs once, on its own
+        # words, and its result 2**j lands in the sum once
         n = 6 * BLOCK_SIZE
-        ran_on = set()
+        ran_on, seen = set(), []
+        record = block_id(seen)
 
-        def slow_early_blocks(rs, m, start):
+        def slow_early_blocks(words, m, start):
             ran_on.add(threading.get_ident())
-            time.sleep(0.002 * (6 - rs.spawn_key[0]))
-            return block_id(rs, m, start)
+            time.sleep(0.002 * (6 - start // BLOCK_SIZE))
+            record(words, m, start)
+            return 1 << start // BLOCK_SIZE
 
-        assert _map_blocks(slow_early_blocks, n, 4, workers=3) == expected_ids(n)
+        assert _map_blocks(slow_early_blocks, n, 4, workers=3) == 2**6 - 1
+        assert block_order(seen) == expected_ids(n, 4)
         assert 1 <= len(ran_on) <= 3
 
     def test_caller_is_a_worker(self, pools):
@@ -1217,13 +1247,56 @@ class TestDispatcher:
         assert sorted(ran) == list(range(3000))
 
     def test_thread_exception_propagates(self):
-        def fail_at_last(rs, m, start):
-            if rs.spawn_key == (2,):
+        def fail_at_last(words, m, start):
+            if start == 2 * BLOCK_SIZE:
                 raise RuntimeError("block 2 failed")
             return m
 
         with pytest.raises(RuntimeError, match="block 2 failed"):
             _map_blocks(fail_at_last, 3 * BLOCK_SIZE, 3, workers=2)
+
+
+class PlanStop(Exception):
+    pass
+
+
+class TestPlanAtAnyN:
+    """``_map_blocks`` sizes and keys each block as it claims it and holds
+    no per-block state, so a plan of any n starts at once.  A block raises
+    to end the run: no test runs such an n to completion."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_blocks_of_a_huge_plan(self, workers):
+        seen = []
+
+        def block(words, m, start):
+            seen.append((m, start, int(words(1)[0])))
+            if len(seen) >= 3:
+                raise PlanStop
+            return m
+
+        with pytest.raises(PlanStop):
+            _map_blocks(block, 10**23, 5, workers)
+        # the third block raises; a second thread may finish one block more
+        assert 3 <= len(seen) <= 2 + workers
+        root = RandomStream(5)
+        blocks = []
+        for m, start, word in seen:
+            j, offset = divmod(start, BLOCK_SIZE)
+            assert (m, offset) == (BLOCK_SIZE, 0)
+            assert word == root.substream(j).words(1)[0]
+            blocks.append(j)
+        if workers == 1:
+            assert blocks == [0, 1, 2]
+        else:
+            assert len(set(blocks)) == len(blocks) and max(blocks) <= 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_last_block_takes_the_rest(self, workers):
+        seen = []
+        assert _map_blocks(block_id(seen), 5 * BLOCK_SIZE - 1, 3, workers) == 5
+        assert block_order(seen)[-1][1:] == (BLOCK_SIZE - 1, 4 * BLOCK_SIZE)
+        assert [m for _, m, _ in block_order(seen)[:-1]] == [BLOCK_SIZE] * 4
 
 
 BAND = ElasticSpec(1.0, 0.0)
