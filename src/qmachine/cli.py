@@ -14,6 +14,7 @@ import sys
 
 from .epr import TSIRELSON_ANGLES_DEG
 from .harness import (
+    EXIT_INTERRUPTED,
     EXIT_IO,
     EXIT_VALIDATION,
     ExperimentConfig,
@@ -128,6 +129,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _error("io", str(exc))
         return EXIT_IO
+    except KeyboardInterrupt:
+        _error("interrupted", "stopped by SIGINT (Ctrl-C) before the run finished")
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

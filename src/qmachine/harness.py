@@ -2,8 +2,9 @@
 CSV/JSON emission for plotting.
 
 Exit code contract: 0 success, 2 validation error, 3 statistical-assertion
-failure, 4 I/O error.  All floating output uses 17 significant digits so
-emitted files are byte-stable across reruns.
+failure, 4 I/O error, 130 interrupted by SIGINT (Ctrl-C).  All floating
+output uses 17 significant digits so emitted files are byte-stable across
+reruns.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
+EXIT_INTERRUPTED = 130
 
 # Fixed so that bare invocations are reproducible.
 DEFAULT_SEED = 42

@@ -42,7 +42,6 @@ coin is ``x < 2**63``, which is ``u < 0.5``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -376,14 +375,16 @@ def _doubles(x: np.ndarray, low: float, high: float, out=None) -> np.ndarray:
     return out
 
 
-def _settle(up: np.ndarray, tie: np.ndarray, coins) -> np.ndarray:
-    """``up`` with its ``k`` ties set to the fair coins ``coins(k)`` in index
-    order, drawn only for ``k > 0``; when every trial ties, they are the outcomes."""
+def _settle(up: np.ndarray, tie: np.ndarray, words) -> np.ndarray:
+    """``up`` with its ``k`` ties set, in index order, to fair coins from the
+    word source ``words``, drawn only for ``k > 0``: ``words(k) < 2**63``,
+    the doubles below 0.5, as :meth:`RandomStream.coin` draws one, True for
+    O1.  When every trial ties, the coins are the outcomes."""
     k = np.count_nonzero(tie)
     if k == len(up):
-        return coins(k)
+        return words(k) < _HALF
     if k:
-        up[tie] = coins(k)
+        up[tie] = words(k) < _HALF
     return up
 
 
@@ -455,27 +456,18 @@ def _cut(elastic: ElasticSpec, t: float) -> tuple[float, float]:
 # Stand-in words of a rigid band, shared read-only by every block
 _NO_DRAWS = np.zeros(BLOCK_SIZE, dtype=np.uint64)
 _NO_DRAWS.flags.writeable = False
-# the last word: a cut of 1.0 is the bound 2**64, which no uint64 holds
-_LAST_WORD = np.uint64(2**64 - 1)
 # a word below 2**63 is a double below 0.5: a tie coin that comes up O1
 _HALF = np.uint64(1 << 63)
 
 
 def _below(x: np.ndarray, c: float) -> np.ndarray:
     """Which words ``x`` are doubles below the cut ``c = K * 2**-53``:
-    ``x < K << 11``, or every word for ``c = 1.0``.  The bound is passed as
-    an in-range ``np.uint64``, so the compare never depends on how numpy
-    promotes Python ints."""
-    k = int(c * _DRAWS)
-    if k == _DRAWS:
-        return x <= _LAST_WORD
-    return x < np.uint64(k << 11)
-
-
-def _coins(words, k: int) -> np.ndarray:
-    """``k`` fair tie coins from the word source ``words``, True for O1: the
-    doubles below 0.5, as :meth:`RandomStream.coin` draws one."""
-    return words(k) < _HALF
+    ``x < K << 11``.  The cuts 0.0 and 1.0 hold no word or every one, so
+    they read none.  The bound is passed as an in-range ``np.uint64``, so the
+    compare never depends on how numpy promotes Python ints."""
+    if c in (0.0, 1.0):
+        return np.full(len(x), c == 1.0)
+    return x < np.uint64(int(c * _DRAWS) << 11)
 
 
 def _resolve_cut(x: np.ndarray, cut, words, flip=None, flip_cut=None) -> np.ndarray:
@@ -489,18 +481,17 @@ def _resolve_cut(x: np.ndarray, cut, words, flip=None, flip_cut=None) -> np.ndar
     for ties, and a block whose every trial ties takes its coins as its
     outcomes.
     """
-    below, upto = cut
-    up = _below(x, below)
-    ties = upto > below
-    if flip is not None:
-        up ^= (up ^ _below(x, flip_cut[0])) & flip
-        ties = ties or flip_cut[1] > flip_cut[0]
-    if ties:
-        tie = _below(x, upto)
+    def below(i: int) -> np.ndarray:
+        # the words below bound i of the cut, or of flip_cut where flip is set
+        mask = _below(x, cut[i])
         if flip is not None:
-            tie ^= (tie ^ _below(x, flip_cut[1])) & flip
-        tie ^= up  # a draw below its cut is below its tie bound too
-        return _settle(up, tie, lambda k: _coins(words, k))
+            mask ^= (mask ^ _below(x, flip_cut[i])) & flip
+        return mask
+
+    up = below(0)
+    if cut[1] > cut[0] or (flip is not None and flip_cut[1] > flip_cut[0]):
+        # a draw below its cut is below its tie bound too
+        return _settle(up, below(1) ^ up, words)
     return up
 
 
@@ -536,8 +527,7 @@ def _severed_block(words, m: int, elastic: ElasticSpec):
     x = words(2 * m if rigid else 4 * m)
     t = _doubles(x[:2 * m], -1.0, 1.0).reshape(2, m)
     lam = (elastic.d,) * 2 if rigid else _doubles(x[2 * m:], lo, hi).reshape(2, m)
-    coins = functools.partial(_coins, words)
-    return tuple(_settle(snap < state, snap == state, coins) for snap, state in zip(lam, t))
+    return tuple(_settle(snap < state, snap == state, words) for snap, state in zip(lam, t))
 
 
 def run_trials(

@@ -449,7 +449,8 @@ JSON_VALUES = st.recursive(
 NON_INTS = JSON_VALUES.filter(lambda v: type(v) is not int)
 NON_STRINGS = JSON_VALUES.filter(lambda v: not isinstance(v, str))
 # Bounded where a valid draw could start a large run; path fields name a
-# file in the working directory (density.csv is a valid density).
+# file in the working directory (density.csv is a valid density of unit
+# mass, so no draw warns that it was renormalized).
 FIELD_VALUES = {
     f.name: JSON_VALUES for f in fields(ExperimentConfig) if f.name != "kind"
 } | {
@@ -479,7 +480,7 @@ class TestExitCodeContract:
         self, kind, config, tmp_path, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "density.csv").write_text("x,value\n0,1\n1,2\n2,1\n")
+        (tmp_path / "density.csv").write_text("x,value\n0,0.25\n1,0.5\n2,0.25\n")
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = [kind, "--config", "cfg.json"]
         try:
@@ -496,3 +497,14 @@ class TestExitCodeContract:
         if not valid:
             assert rc == 2
             assert out.getvalue() == ""
+
+    def test_interrupt_exits_130_with_one_json_line(self, monkeypatch, capsys):
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("qmachine.cli.run", interrupted)
+        assert run_cli("spin", "-n", "100000000000000000") == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "interrupted"

@@ -114,7 +114,7 @@ def test_check_sees_uncalled_exports():
 # the sampler internals that build or read a block's draws: only
 # ``sampler``'s block kernels use them
 DRAW_INTERNALS = {
-    "_resolve_cut", "_settle", "_doubles", "_coins", "_below", "_NO_DRAWS", "_philox"
+    "_resolve_cut", "_settle", "_doubles", "_below", "_NO_DRAWS", "_philox"
 }
 
 

@@ -21,12 +21,12 @@ from qmachine.sampler import (
     RandomStream,
     TrialRecord,
     TrialRecords,
-    _coins,
     _cut,
     _doubles,
     _map_blocks,
     _map_indexed,
     _resolve_cut,
+    _settle,
     _severed_block,
     _spin_block,
     hidden_outcome,
@@ -231,7 +231,8 @@ class TestRandomStream:
     def test_word_coins_are_the_double_coins(self):
         coins = RandomStream(22).words(20_000) < np.uint64(1 << 63)
         assert np.array_equal(coins, eager_generator(22).random(20_000) < 0.5)
-        assert np.array_equal(_coins(RandomStream(22).words, 20_000), coins)
+        all_tie = np.zeros(20_000, dtype=bool), np.ones(20_000, dtype=bool)
+        assert np.array_equal(_settle(*all_tie, RandomStream(22).words), coins)
         assert 9_000 < coins.sum() < 11_000
 
     def test_words_and_uniform_read_one_sequence(self):
@@ -891,10 +892,43 @@ class TestTieRule:
         assert at_same_word(rs, eager_generator(4))
 
 
+class Unreadable:
+    """Stand-in words of a block that have a length, but raise on any
+    comparison or conversion to an array: a kernel that reads them fails."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def __len__(self):
+        return self.m
+
+    def _read(self, *args, **kwargs):
+        raise AssertionError("a certain cut read a word")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = __array__ = _read
+
+
 class TestEdgeCuts:
-    """Cuts of 0.0 and 1.0 through :func:`_resolve_cut`: a cut of 1.0 is
-    the word bound 2**64, which no uint64 holds, so it must admit every word
-    up to the last one without an out-of-range compare."""
+    """Cuts of 0.0 and 1.0 through :func:`_resolve_cut`: they hold no word or
+    every one, up to the last, so they read none; a cut of 1.0 would be the
+    word bound 2**64, which no uint64 holds."""
+
+    CERTAIN = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+    @pytest.mark.parametrize("cut", CERTAIN)
+    @pytest.mark.parametrize("flip_cut", [None] + CERTAIN)
+    def test_certain_cuts_read_no_word(self, cut, flip_cut):
+        m = 300
+        flip = None if flip_cut is None else np.arange(m) % 3 == 0
+        rs, ref = RandomStream(43), eager_generator(43).bit_generator
+        got = _resolve_cut(Unreadable(m), cut, rs.words, flip, flip_cut)
+        # each constant cut is its up mask, and the all-tie cut (0, 1) a coin
+        picked = [cut] * m if flip is None else [flip_cut if f else cut for f in flip]
+        up = np.array([c == (1.0, 1.0) for c in picked])
+        tie = np.array([c == (0.0, 1.0) for c in picked])
+        up[tie] = ref.random_raw(np.count_nonzero(tie)) < np.uint64(2**63)
+        assert got.dtype == bool and np.array_equal(got, up)
+        assert rs.words() == ref.random_raw()
 
     EXTREMES = np.array([0, 1, (1 << 11) - 1, 1 << 11, 1 << 63, 2**64 - 1], dtype=np.uint64)
 
