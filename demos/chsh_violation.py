@@ -15,15 +15,31 @@ import math
 from qmachine import (
     ChshSetting,
     ElasticSpec,
+    EntangledPair,
+    RandomStream,
     chsh_analytic,
     chsh_estimate,
     correlation_analytic,
     max_chsh,
+    measure_pair,
     plane_direction,
     severed_chsh_scan,
 )
 
 TSIRELSON = ChshSetting.from_plane_degrees(0.0, 90.0, 225.0, 135.0)
+
+
+def watch_a_few_pairs():
+    print("Five rod-coupled pairs, left axis at 0 and right axis at 60 degrees (eps = 1):")
+    band = ElasticSpec(1.0, 0.0)
+    a, b = plane_direction(0.0), plane_direction(math.radians(60.0))
+    rng = RandomStream(2024)
+    for k in range(5):
+        left, right = measure_pair(EntangledPair(), a, b, band, rng)
+        print(f"  pair {k}:  left {left.value:+d}   right {right.value:+d}")
+    print("Each pair is measured once: the left wing first, which drags the partner")
+    print("to the antipode.  Over many pairs the products average to -cos(60d) = -0.5.")
+    print()
 
 
 def correlations_at_full_band():
@@ -67,6 +83,7 @@ def cut_the_rod():
 
 
 if __name__ == "__main__":
+    watch_a_few_pairs()
     correlations_at_full_band()
     chsh_at_optimal_settings()
     sweep_the_band()

@@ -22,8 +22,11 @@ function of ``(seed, spawn_key + (j,))``: the one dispatcher,
 :func:`_map_blocks`, reads them straight from that key's Philox, with no
 substream handle.  It runs the blocks on threads, the calling thread one of
 them, and sums their results as they finish.  A sum of counts commutes, so
-results are bit-identical for any number of workers, and a call holds no
-per-block state at any ``n``.
+results are a pure function of ``(seed, n)``, bit-identical for any number
+of workers, and a call holds no per-block state at any ``n``.  Each kernel
+checks ``n`` and ``workers`` once, before it dispatches: both must be
+integers, numpy's too, never a bool or a float (``n=1e6`` raises a
+``TypeError`` that names ``n``).
 
 Within a block the draw order is fixed: one word per snap point, then one
 coin per exact tie, in trial order, and only when ties occur.  A word ``x``
@@ -100,13 +103,15 @@ class RandomStream:
 
     def uniform(self, low: float, high: float, size=None):
         """Uniform doubles on [low, high), one per word: a float, or an
-        array of ``size``."""
+        array of ``size``, bit for bit numpy's own ``uniform`` on the same
+        Philox."""
         if size is None:
             return low + (high - low) * ((self.words() >> 11) * _STEP)
         return _doubles(self.words(size), low, high)
 
     def coin(self) -> bool:
-        """Single fair coin flip, one word."""
+        """Single fair coin flip, one word: numpy's ``random() < 0.5`` on
+        the same Philox, bit for bit."""
         return self.words() < 2**63
 
 
@@ -541,7 +546,10 @@ def run_trials(
     """Aggregate ``n`` measurements of state v along axis u.
 
     ``seed`` may be an integer or a :class:`RandomStream`.  The outcome
-    counts are identical for any ``workers`` value.
+    counts are identical for any ``workers`` value.  When every outcome is
+    certain (a cut at 0 or 1 with no room for ties, as for every rigid band
+    off the particle's axis coordinate), the call draws nothing and builds
+    no Philox, after the same checks of ``n``, ``workers`` and ``seed``.
     """
     n, workers = _checked(n, workers)
     cut = _cut(elastic, axis_coordinate(v, u))
@@ -570,8 +578,14 @@ def run_recorded(
 
     Uses the same block/substream scheme, so counts agree with
     :func:`run_trials` for the same seed.  The trials are kept as arrays in
-    a :class:`TrialRecords`, 9 bytes per trial; prefer :func:`run_trials`
-    when only the counts are needed.
+    a :class:`TrialRecords`, 9 bytes per trial, allocated once per call;
+    each block writes its slice.  Prefer :func:`run_trials` when only the
+    counts are needed.
+
+    The records are those of :func:`measure` looped over each block's
+    substream when no trial in a block ties, or when every trial does: a
+    block draws its tie coins after all its snap points, while
+    :func:`measure` draws each coin right after its own.
     """
     n = _checked(n, 1)[0]
     cut = _cut(elastic, axis_coordinate(v, u))
